@@ -4,6 +4,9 @@
 #include <cmath>
 #include <limits>
 
+#include "util/hash.hpp"
+#include "util/rng.hpp"
+
 namespace perfbench {
 
 namespace {
@@ -17,6 +20,20 @@ std::size_t rank_index(double q, std::size_t n) {
 }
 
 }  // namespace
+
+std::uint64_t slot_seed(std::uint64_t run_seed, std::uint64_t slot) {
+  return appeal::util::mix64(appeal::util::mix64(run_seed) ^ slot);
+}
+
+std::vector<double> poisson_schedule(double rate, double length_ms, std::uint64_t seed) {
+  std::vector<double> out;
+  appeal::util::rng gen(seed);
+  for (double t = -std::log(1.0 - gen.uniform()) / rate * 1e3; t < length_ms;
+       t += -std::log(1.0 - gen.uniform()) / rate * 1e3) {
+    out.push_back(t);
+  }
+  return out;
+}
 
 double median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
@@ -96,12 +113,7 @@ rung_verdict judge_rung(const phase_samples& p, const rung_limits& limits) {
   v.rate = p.rate;
   v.latency = phase_percentiles(p, population::all);
   std::size_t ok = 0;
-  double last_ms = 0.0;
-  for (std::size_t i = p.first; i < p.size(); ++i) {
-    if (p.status[i] != kOk) continue;
-    ++ok;
-    last_ms = std::max(last_ms, p.completion_ms(i));
-  }
+  for (std::size_t i = p.first; i < p.size(); ++i) ok += p.status[i] == kOk ? 1 : 0;
   const std::size_t measured = p.size() - std::min(p.first, p.size());
   v.ok_frac = measured == 0 ? 0.0 : static_cast<double>(ok) / static_cast<double>(measured);
   const double begin_ms = measured == 0 ? 0.0 : p.sched_ms[p.first];
@@ -109,8 +121,6 @@ rung_verdict judge_rung(const phase_samples& p, const rung_limits& limits) {
   v.backlog_end = outstanding_at(p, p.duration_ms);
   v.backlog_growing =
       backlog_growing(v.backlog_mid, v.backlog_end, p.rate, limits.p99_ms);
-  v.completed_rps =
-      last_ms > begin_ms ? static_cast<double>(ok) * 1e3 / (last_ms - begin_ms) : 0.0;
   v.pass = measured > 0 && v.latency.p99 <= limits.p99_ms &&
            v.ok_frac >= limits.ok_frac && !v.backlog_growing;
   return v;
@@ -122,14 +132,12 @@ rung_verdict judge_blocks(const std::vector<const phase_samples*>& blocks,
   if (blocks.empty()) return v;
   std::vector<percentiles> latency;
   std::vector<double> ok_frac;
-  std::vector<double> completed;
   std::size_t passed = 0;
   std::size_t growing = 0;
   for (const phase_samples* b : blocks) {
     const rung_verdict one = judge_rung(*b, limits);
     latency.push_back(one.latency);
     ok_frac.push_back(one.ok_frac);
-    completed.push_back(one.completed_rps);
     passed += one.pass ? 1 : 0;
     growing += one.backlog_growing ? 1 : 0;
     v.backlog_mid = std::max(v.backlog_mid, one.backlog_mid);
@@ -138,18 +146,23 @@ rung_verdict judge_blocks(const std::vector<const phase_samples*>& blocks,
   v.rate = blocks.front()->rate;
   v.latency = median_over_blocks(latency);
   v.ok_frac = median(std::move(ok_frac));
-  v.completed_rps = median(std::move(completed));
   v.backlog_growing = 2 * growing > blocks.size();
   v.pass = 2 * passed > blocks.size();
   return v;
 }
 
-ladder_result ladder_search(std::size_t rungs,
-                            const std::function<rung_verdict(std::size_t)>& run) {
+double ladder_result::max_rate() const {
+  return best < 0 ? 0.0 : verdicts[static_cast<std::size_t>(best)].rate;
+}
+
+ladder_result ladder_search(std::size_t rungs, int tries,
+                            const std::function<rung_verdict(std::size_t, int)>& run) {
   ladder_result out;
   for (std::size_t i = 0; i < rungs; ++i) {
-    out.verdicts.push_back(run(i));
-    if (!out.verdicts.back().pass) break;
+    rung_verdict v = run(i, 0);
+    for (int attempt = 1; !v.pass && attempt < tries; ++attempt) v = run(i, attempt);
+    out.verdicts.push_back(v);
+    if (!v.pass) break;
     out.best = static_cast<long>(i);
   }
   return out;

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -35,6 +36,15 @@ struct phase_samples {
     return sched_ms[i] + latency_ms(i);
   }
 };
+
+/// The seed of one phase of a run: a pure function of the run's seed and
+/// the phase's slot (its place in the run's plan), so a phase measured
+/// again replays the same arrival schedule.
+std::uint64_t slot_seed(std::uint64_t run_seed, std::uint64_t slot);
+
+/// Open-loop (Poisson) arrival times in ms, from 0 up to `length_ms`, at
+/// `rate` requests per second: exponential gaps drawn from `seed`.
+std::vector<double> poisson_schedule(double rate, double length_ms, std::uint64_t seed);
 
 /// The median (the mean of the middle two for an even count); 0 when empty.
 double median(std::vector<double> v);
@@ -81,8 +91,6 @@ struct rung_verdict {
   std::size_t backlog_mid = 0;  // outstanding at half the schedule
   std::size_t backlog_end = 0;  // outstanding when the schedule ends
   bool backlog_growing = false;
-  /// OK completions per second, first scheduled send to last completion.
-  double completed_rps = 0.0;
   bool pass = false;
 };
 
@@ -98,20 +106,24 @@ rung_verdict judge_rung(const phase_samples& p, const rung_limits& limits);
 
 /// A rung measured as several blocks at one rate passes when more than half
 /// of its blocks pass. Its latency is the median over blocks, its OK share
-/// and completion rate the blocks' medians, its backlog the largest.
+/// the blocks' median, its backlog the largest.
 rung_verdict judge_blocks(const std::vector<const phase_samples*>& blocks,
                           const rung_limits& limits);
 
 /// Outcome of a ladder search.
 struct ladder_result {
   long best = -1;  // index of the highest passing rung; -1 when none passed
-  std::vector<rung_verdict> verdicts;  // of rungs 0, 1, ... as run
+  std::vector<rung_verdict> verdicts;  // of rungs 0, 1, ... as run, last try
+  /// The fixed rate of the highest passing rung; 0 when none passed.
+  double max_rate() const;
 };
 
-/// Climbs a fixed ladder of ascending rates from its lowest rung: `run(i)`
-/// measures rung i, and the climb ends at the first rung that fails.
-ladder_result ladder_search(std::size_t rungs,
-                            const std::function<rung_verdict(std::size_t)>& run);
+/// Climbs a fixed ladder of ascending rates from its lowest rung:
+/// `run(i, attempt)` measures rung i. A rung fails only when `tries`
+/// attempts in a row fail (a host stall fails one try, a saturated system
+/// every try); the climb ends at the first rung that fails.
+ladder_result ladder_search(std::size_t rungs, int tries,
+                            const std::function<rung_verdict(std::size_t, int)>& run);
 
 /// Edge CPU per completed request: the process's CPU over the phases less
 /// the benchmark's own generator and collector threads.

@@ -29,6 +29,13 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 BUILD = os.path.join(ROOT, ".bench_build")
 DRIVER_TIMEOUT_S = 170
+# End-to-end metrics every untraced run prints but BENCHMARK.json does not
+# gate. On a shared 4-vCPU host their spread over ten runs reached 0.31 to
+# 0.92 of their median, above the largest bound a gated metric may
+# have (README.md, "Measured spread").
+REPORTED_ONLY = {"light.p99_ms": "ms", "heavy.p99_ms": "ms", "appeal.p50_ms": "ms",
+                 "appeal.p99_ms": "ms", "max_rate_rps": "1/s", "edge_cpu_ms_per_req": "ms",
+                 "cloud_cpu_ms_per_req": "ms"}
 
 
 def log(msg):
@@ -93,18 +100,19 @@ def build_info():
     return info
 
 
-def check_names(metrics, expected):
-    """Emitted metric names and units must equal BENCHMARK.json's list."""
+def check_names(metrics, expected, reported_only):
+    """Emitted metric names and units must equal BENCHMARK.json's list plus
+    the `reported_only` ones (a dict of name to unit)."""
     problems = []
     emitted = {m["name"]: m["unit"] for m in metrics}
-    for spec in expected:
-        if spec["name"] not in emitted:
-            problems.append("missing metric " + spec["name"])
-        elif emitted[spec["name"]] != spec["unit"]:
-            problems.append("unit of %s is %s, BENCHMARK.json says %s"
-                            % (spec["name"], emitted[spec["name"]], spec["unit"]))
-    names = {spec["name"] for spec in expected}
-    problems += ["unlisted metric " + n for n in emitted if n not in names]
+    wanted = dict(reported_only)
+    wanted.update((spec["name"], spec["unit"]) for spec in expected)
+    for name, unit in wanted.items():
+        if name not in emitted:
+            problems.append("missing metric " + name)
+        elif emitted[name] != unit:
+            problems.append("unit of %s is %s, expected %s" % (name, emitted[name], unit))
+    problems += ["unlisted metric " + n for n in emitted if n not in wanted]
     return problems
 
 
@@ -186,7 +194,7 @@ def main():
                                 capture_output=True, text=True)
         checks.append({"name": "trace_stages_reconcile", "pass": report.returncode == 0,
                        "detail": (report.stdout.strip().splitlines() or [""])[-1]})
-    problems = check_names(result["metrics"], expected)
+    problems = check_names(result["metrics"], expected, {} if opts.trace else REPORTED_ONLY)
     checks.append({"name": "metric_names_and_units", "pass": not problems,
                    "detail": "; ".join(problems) or "match BENCHMARK.json"})
     # A p99 that lands on a request which never answered OK is unbounded;
@@ -207,13 +215,13 @@ def main():
             block["name"], block["p50_ms"], block["p99_ms"] or float("inf"), block["samples"],
             block["steal_frac"]))
     for rung in result["ladder"]:
-        print("rung %8.1f rps: p99 %9.3f ms over %6d, ok %.4f, backlog %d -> %d, "
-              "%.1f completed/s, %s" % (rung["rate"], rung["p99_ms"] or float("inf"),
-                                         rung["samples"], rung["ok_frac"], rung["backlog_mid"],
-                                         rung["backlog_end"], rung["completed_rps"],
-                                         "pass" if rung["pass"] else "fail"))
+        print("rung %8.1f rps: p99 %9.3f ms over %6d, ok %.4f, backlog %d -> %d, %s"
+              % (rung["rate"], rung["p99_ms"] or float("inf"), rung["samples"],
+                 rung["ok_frac"], rung["backlog_mid"], rung["backlog_end"],
+                 "pass" if rung["pass"] else "fail"))
     for m in result["metrics"]:
-        print("%-30s %14.6f %-8s samples %d" % (m["name"], m["value"], m["unit"], m["samples"]))
+        print("%-30s %14.6f %-8s samples %d%s" % (m["name"], m["value"], m["unit"], m["samples"],
+                                                  ", not gated" if m["name"] in REPORTED_ONLY else ""))
     for c in checks:
         print("check %-32s %s  %s" % (c["name"], "PASS" if c["pass"] else "FAIL", c["detail"]))
 

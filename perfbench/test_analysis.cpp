@@ -2,6 +2,7 @@
 // the backlog rule, rung verdicts, the ladder climb and CPU attribution.
 //
 // Run:  .bench_build/perfbench_tests   (exit code 0 when every check holds)
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -118,7 +119,6 @@ void test_judge_rung() {
   const rung_verdict ok = judge_rung(fast, limits);
   EXPECT(ok.pass);
   EXPECT(ok.ok_frac == 1.0);
-  EXPECT(std::fabs(ok.completed_rps - 1000.0) < 5.0);
 
   const phase_samples slow = make_phase(2000, 1000.0, [](std::size_t i) {
     return i % 50 == 0 ? 40.0 : 2.0;  // 2% of requests over the limit
@@ -152,25 +152,56 @@ void test_judge_blocks() {
 }
 
 void test_ladder_search() {
-  const auto pass_below = [](std::size_t limit) {
-    return [limit](std::size_t i) {
+  // Rung i runs at 100 * (i + 1) rps; a rung passes below `limit`, and
+  // rung `flaky` fails its first two tries only.
+  const auto ladder = [](std::size_t limit, std::size_t flaky, std::vector<int>* tries) {
+    return [=](std::size_t i, int attempt) {
+      tries->push_back(static_cast<int>(i * 10) + attempt);
       rung_verdict v;
-      v.rate = static_cast<double>(i);
-      v.pass = i < limit;
+      v.rate = 100.0 * static_cast<double>(i + 1);
+      v.pass = i < limit && !(i == flaky && attempt < 2);
       return v;
     };
   };
-  const ladder_result some = ladder_search(10, pass_below(5));
+  std::vector<int> tries;
+  const ladder_result some = ladder_search(10, 3, ladder(5, 99, &tries));
   EXPECT(some.best == 4);
   EXPECT(some.verdicts.size() == 6);  // stops at the first failure
+  EXPECT(some.max_rate() == 500.0);   // the rung's fixed rate
+  EXPECT(tries.back() == 52);         // the failing rung was tried three times
 
-  const ladder_result all = ladder_search(10, pass_below(100));
+  tries.clear();
+  const ladder_result all = ladder_search(10, 3, ladder(100, 99, &tries));
   EXPECT(all.best == 9);
   EXPECT(all.verdicts.size() == 10);
+  EXPECT(tries.size() == 10);  // passing rungs run once
 
-  const ladder_result none = ladder_search(10, pass_below(0));
+  // The first rung gets the same tries as the climbed ones.
+  tries.clear();
+  const ladder_result retried = ladder_search(3, 3, ladder(100, 0, &tries));
+  EXPECT(retried.best == 2);
+  EXPECT((tries == std::vector<int>{0, 1, 2, 10, 20}));
+  tries.clear();
+  EXPECT(ladder_search(3, 2, ladder(100, 0, &tries)).best == -1);
+  EXPECT((tries == std::vector<int>{0, 1}));
+
+  tries.clear();
+  const ladder_result none = ladder_search(10, 3, ladder(0, 99, &tries));
   EXPECT(none.best == -1);
   EXPECT(none.verdicts.size() == 1);
+  EXPECT(none.max_rate() == 0.0);
+}
+
+void test_schedule_replays() {
+  // The same run seed and slot give the same schedule, so a phase measured
+  // again replays its requests; other slots or seeds give other schedules.
+  const std::vector<double> a = poisson_schedule(500.0, 2000.0, slot_seed(7, 3));
+  EXPECT(a == poisson_schedule(500.0, 2000.0, slot_seed(7, 3)));
+  EXPECT(a != poisson_schedule(500.0, 2000.0, slot_seed(7, 4)));
+  EXPECT(a != poisson_schedule(500.0, 2000.0, slot_seed(8, 3)));
+  EXPECT(a.size() > 900 && a.size() < 1100);  // about rate x length
+  EXPECT(std::is_sorted(a.begin(), a.end()));
+  EXPECT(a.front() > 0.0 && a.back() < 2000.0);
 }
 
 void test_cpu_attribution() {
@@ -188,6 +219,7 @@ int main() {
   test_judge_rung();
   test_judge_blocks();
   test_ladder_search();
+  test_schedule_replays();
   test_cpu_attribution();
   std::printf("%s\n", failures == 0 ? "all perfbench analysis tests passed"
                                     : "perfbench analysis tests FAILED");

@@ -24,8 +24,11 @@ NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$")
 UNIT = re.compile(r"^[A-Za-z0-9_/%.-]{1,16}$")
 
 
-def emitted(specs):
-    return [{"name": s["name"], "unit": s["unit"], "value": 1.5, "samples": 0} for s in specs]
+def emitted(specs, reported_only=None):
+    out = [{"name": s["name"], "unit": s["unit"], "value": 1.5, "samples": 0} for s in specs]
+    for name, unit in (reported_only or {}).items():
+        out.append({"name": name, "unit": unit, "value": 2.5, "samples": 0})
+    return out
 
 
 class BenchmarkJsonTest(unittest.TestCase):
@@ -71,21 +74,30 @@ class BenchmarkJsonTest(unittest.TestCase):
 
 class NamesAndResultLineTest(unittest.TestCase):
     def test_matching_names_pass(self):
-        for specs in (BENCH["end_to_end"], BENCH["per_layer"]):
-            self.assertEqual(run.check_names(emitted(specs), specs), [])
+        e2e, only = BENCH["end_to_end"], run.REPORTED_ONLY
+        self.assertEqual(run.check_names(emitted(e2e, only), e2e, only), [])
+        self.assertEqual(run.check_names(emitted(BENCH["per_layer"]), BENCH["per_layer"], {}), [])
 
     def test_missing_extra_and_wrong_unit_fail(self):
-        specs = BENCH["end_to_end"]
-        metrics = emitted(specs)
-        self.assertIn("missing metric setup_s", run.check_names(metrics[1:], specs))
+        specs, only = BENCH["end_to_end"], run.REPORTED_ONLY
+        metrics = emitted(specs, only)
+        self.assertIn("missing metric setup_s", run.check_names(metrics[1:], specs, only))
+        no_rate = [m for m in metrics if m["name"] != "max_rate_rps"]
+        self.assertIn("missing metric max_rate_rps", run.check_names(no_rate, specs, only))
         extra = metrics + [{"name": "bogus", "unit": "ms"}]
-        self.assertIn("unlisted metric bogus", run.check_names(extra, specs))
+        self.assertIn("unlisted metric bogus", run.check_names(extra, specs, only))
         metrics[0]["unit"] = "ms"
-        self.assertTrue(run.check_names(metrics, specs)[0].startswith("unit of setup_s"))
+        self.assertTrue(run.check_names(metrics, specs, only)[0].startswith("unit of setup_s"))
+
+    def test_reported_only_metrics_stay_out_of_the_gate(self):
+        gated = {m["name"] for m in BENCH["end_to_end"] + BENCH["per_layer"]}
+        self.assertFalse(gated & set(run.REPORTED_ONLY))
+        # Together they are the fifteen end-to-end metrics every run prints.
+        self.assertEqual(len(BENCH["end_to_end"]) + len(run.REPORTED_ONLY), 15)
 
     def test_result_line(self):
         specs = BENCH["end_to_end"]
-        line = json.loads(run.result_line(True, 10, 1, emitted(specs), specs))
+        line = json.loads(run.result_line(True, 10, 1, emitted(specs, run.REPORTED_ONLY), specs))
         self.assertEqual(set(line), {"correct", "attempted", "failed", "metrics"})
         self.assertEqual(list(line["metrics"]), [s["name"] for s in specs])
         self.assertEqual(line["metrics"]["setup_s"], {"value": 1.5, "unit": "s"})
