@@ -76,10 +76,13 @@
 // registry as a Prometheus-text /metrics endpoint for the whole run;
 // --metrics_dump=<path> writes a final scrape to a file at exit.
 // --gemm_threads=N sets the (process-global) intra-GEMM parallelism of
-// edge forwards. Each run labels its registry instruments
+// edge forwards. Each run labels its request instruments
 // {deployment="bench-fixed"|"bench-adaptive"}; the fixed run has no
 // warmup, so its cumulative counters equal its final snapshot — the
-// loopback CI gate asserts exactly that.
+// loopback CI gate asserts exactly that. Both runs share the "bench"
+// link's instruments ({link="bench"}), and each JSON run carries the
+// link counters of the warmup window its reset_stats() closed, so the
+// windows tile the process and sum to the exported link counters.
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -315,6 +318,7 @@ void drive_closed_loop(serve::server& srv, const workload& w,
 
 struct run_result {
   serve::stats_snapshot stats;  // steady state: warmup is excluded
+  serve::stats_snapshot warmup;  // the window reset_stats() closed
   double delta = 0.0;
   double warmup_seconds = 0.0;
   double measured_seconds = 0.0;
@@ -336,12 +340,13 @@ run_result run_mode(const workload& w, const std::vector<tensor>* images,
   serve::deployment& dep = srv.register_deployment(
       kModel, cfg, std::move(edge_factory), std::move(cloud_factory));
   util::stopwatch phases;
+  run_result r;
   if (warmup > 0) {
     drive_closed_loop(srv, w, images, clients, 0, warmup, pace);
     srv.drain();
+    r.warmup = dep.snapshot();
     dep.reset_stats();
   }
-  run_result r;
   if (warmup > 0) r.warmup_seconds = phases.lap_seconds();
   drive_closed_loop(srv, w, images, clients, warmup, w.labels.size(), pace);
   srv.drain();
@@ -395,7 +400,9 @@ void append_run_json(std::FILE* f, const char* mode, const run_result& r,
       " \"appeal_retries\": %zu, \"appeal_overloaded\": %zu,"
       " \"breaker_opens\": %zu, \"breaker_state\": %u,"
       " \"split_appeals\": %zu, \"split_bytes_saved\": %zu,"
-      " \"split_rejected\": %zu, \"split_cut\": %u}%s\n",
+      " \"split_rejected\": %zu, \"split_cut\": %u,"
+      " \"warmup\": {\"wire_bytes_tx\": %zu, \"wire_bytes_rx\": %zu,"
+      " \"appeals_on_wire\": %zu, \"link_fallbacks\": %zu}}%s\n",
       mode, r.stats.throughput_rps, r.stats.p50_ms, r.stats.p95_ms,
       r.stats.p99_ms, r.stats.achieved_sr, r.stats.online_accuracy,
       r.stats.shed_rate, r.stats.shed, r.stats.expired, r.stats.cloud_expired,
@@ -408,7 +415,8 @@ void append_run_json(std::FILE* f, const char* mode, const run_result& r,
       r.stats.appeal_overloaded, r.stats.breaker_opens,
       static_cast<unsigned>(r.stats.breaker_state), r.stats.split_appeals,
       r.stats.split_bytes_saved, r.stats.split_rejected, r.stats.split_cut,
-      last ? "" : ",");
+      r.warmup.wire_bytes_tx, r.warmup.wire_bytes_rx,
+      r.warmup.appeals_on_wire, r.warmup.link_fallbacks, last ? "" : ",");
 }
 
 }  // namespace

@@ -23,26 +23,6 @@ double ms_since(clock::time_point from) {
       .count();
 }
 
-void accumulate(transport_counters& into, const transport_counters& c) {
-  into.batches_sent += c.batches_sent;
-  into.appeals_sent += c.appeals_sent;
-  into.bytes_sent += c.bytes_sent;
-  into.bytes_received += c.bytes_received;
-}
-
-obs::label_set link_labels(const std::string& name) {
-  if (name.empty()) return {};
-  return {{"link", name}};
-}
-
-/// The split instruments join the deployment-labeled family (the
-/// channel's name IS its deployment's name), so one scrape correlates
-/// the active cut with that deployment's request ledgers.
-obs::label_set deployment_labels(const std::string& name) {
-  if (name.empty()) return {};
-  return {{"deployment", name}};
-}
-
 }  // namespace
 
 const char* breaker_state_name(breaker_state s) {
@@ -59,27 +39,14 @@ const char* breaker_state_name(breaker_state s) {
 
 cloud_channel::cloud_channel(cloud_backend& backend,
                              const collab::cost_model& link,
-                             const link_config& cfg, std::string name)
+                             const link_config& cfg, std::string name,
+                             obs::metrics_registry& registry)
     : backend_(backend),
       config_(cfg),
       link_(link),
       name_(std::move(name)),
-      jitter_rng_(cfg.retry_seed),
-      metric_retries_(obs::default_registry().get_counter(
-          "appeal_retry_total", link_labels(name_),
-          "overloaded appeals re-sent after backoff")),
-      metric_overloaded_(obs::default_registry().get_counter(
-          "appeal_overloaded_total", link_labels(name_),
-          "overloaded answers received from the cloud")),
-      metric_breaker_(obs::default_registry().get_gauge(
-          "appeal_breaker_state", link_labels(name_),
-          "cloud-link circuit breaker (0 closed, 1 open, 2 half-open)")),
-      metric_split_cut_(obs::default_registry().get_gauge(
-          "appeal_split_cut", deployment_labels(name_),
-          "active split-computing cut id (0 = raw-input appeals)")),
-      metric_split_bytes_saved_(obs::default_registry().get_counter(
-          "appeal_split_bytes_saved_total", deployment_labels(name_),
-          "uplink bytes saved by shipping feature maps instead of inputs")) {
+      metrics_(registry, name_),
+      jitter_rng_(cfg.retry_seed) {
   APPEAL_CHECK(config_.coalesce_window_ms >= 0.0,
                "coalesce window must be non-negative");
   if (config_.split.mode != split_mode::off) {
@@ -97,7 +64,7 @@ cloud_channel::cloud_channel(cloud_backend& backend,
     }
     cut_rejected_.assign(config_.split.cuts.size(), false);
   }
-  metric_split_cut_.set(0.0);
+  metrics_.split_cut.set(0.0);
   APPEAL_CHECK(config_.breaker_open_ms > 0.0,
                "breaker cool-off must be positive");
   config_.max_batch_appeals = std::max<std::size_t>(1, cfg.max_batch_appeals);
@@ -107,9 +74,9 @@ cloud_channel::cloud_channel(cloud_backend& backend,
   APPEAL_CHECK(config_.transport == transport_kind::sim ||
                    !config_.endpoint.empty(),
                "socket transports need an endpoint");
-  metric_breaker_.set(0.0);
+  metrics_.breaker.set(0.0);
   try {
-    transport_ = make_cloud_transport(config_, backend, link);
+    transport_ = make_cloud_transport(config_, backend, link, metrics_);
     const std::uint64_t epoch = epoch_;
     transport_->start(
         [this, epoch](std::vector<cloud_transport::completion>&& done) {
@@ -122,7 +89,7 @@ cloud_channel::cloud_channel(cloud_backend& backend,
     // locally from the first request) and let the half-open probe
     // reconnect once the peer is back.
     transport_.reset();
-    ++breaker_opens_;
+    metrics_.breaker_opens.add(1);
     set_breaker_locked(breaker_state::open);
     open_until_ = clock::now() + from_ms(config_.breaker_open_ms);
     APPEAL_LOG_WARN("cloud_channel")
@@ -141,11 +108,17 @@ cloud_channel::~cloud_channel() {
   }
   wake_.notify_all();
   worker_.join();
-  // No send can be in progress and the run thread is gone: stopping the
-  // live and retired transports here joins their reader threads safely.
-  if (transport_ != nullptr) transport_->stop();
-  for (auto& t : retired_) t->stop();
-  retired_.clear();
+  // The run thread is gone, but the live link's reader can still retire
+  // transport_ under the lock (a peer closing as the edge shuts down):
+  // take the transports under it, then stop them (joining the readers)
+  // off it.
+  std::vector<std::unique_ptr<cloud_transport>> links;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    links.swap(retired_);
+    if (transport_ != nullptr) links.push_back(std::move(transport_));
+  }
+  for (auto& t : links) t->stop();
 }
 
 void cloud_channel::appeal(request&& r, completion_fn on_complete) {
@@ -162,33 +135,11 @@ void cloud_channel::appeal(request&& r, completion_fn on_complete) {
 void cloud_channel::drain() {
   // A fast peer can answer a whole batch while the coalescing thread is
   // still inside send_batch; waiting out sending_ids_ keeps drain() from
-  // returning before that send's counter bookkeeping has landed.
+  // returning before that send's counters (wire bytes, split appeals)
+  // have landed.
   std::unique_lock<std::mutex> lock(mutex_);
   drained_.wait(lock,
                 [&] { return outstanding_ == 0 && sending_ids_.empty(); });
-}
-
-std::size_t cloud_channel::completed() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return completed_;
-}
-
-link_counters cloud_channel::counters() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  link_counters c;
-  c.wire = wire_base_;
-  if (transport_ != nullptr) accumulate(c.wire, transport_->counters());
-  c.completed = completed_;
-  c.local_fallbacks = local_fallbacks_;
-  c.retries = retries_;
-  c.overloaded = overloaded_;
-  c.breaker_opens = breaker_opens_;
-  c.split_appeals = split_appeals_;
-  c.split_bytes_saved = split_bytes_saved_;
-  c.split_rejected = split_rejected_;
-  c.breaker = static_cast<std::uint8_t>(breaker_);
-  c.split_cut = active_cut_;
-  return c;
 }
 
 void cloud_channel::run() {
@@ -220,7 +171,6 @@ void cloud_channel::run() {
                                       p.attempts});
         }
         retry_queue_.clear();
-        local_fallbacks_ += entries.size();
         lock.unlock();
         complete_locally(std::move(entries));
         lock.lock();
@@ -266,7 +216,6 @@ void cloud_channel::run() {
                                     std::move(p.on_complete), now, 0.0,
                                     p.attempts});
       }
-      local_fallbacks_ += entries.size();
       lock.unlock();
       complete_locally(std::move(entries));
       lock.lock();
@@ -376,13 +325,12 @@ void cloud_channel::run() {
     }
 
     bool sent = false;
-    const std::size_t bytes_before =
-        link != nullptr ? link->counters().bytes_sent : 0;
+    std::size_t sent_bytes = 0;
     if (link != nullptr) {
       try {
         // May block while the link is busy — exactly the window in which
         // the next batch accumulates.
-        link->send_batch(batch, wire_ids, name_);
+        sent_bytes = link->send_batch(batch, wire_ids, name_);
         sent = true;
       } catch (const util::error& e) {
         APPEAL_LOG_WARN("cloud_channel")
@@ -408,8 +356,6 @@ void cloud_channel::run() {
       // Measured link bandwidth: encoded bytes this send put on the wire
       // over the time send_batch held the link. Feeds the auto-mode cut
       // picker; skipped when the send was too fast to time honestly.
-      const std::size_t sent_bytes =
-          link->counters().bytes_sent - bytes_before;
       if (tx_ms > 0.05 && sent_bytes > 0) {
         const double bw = static_cast<double>(sent_bytes) / tx_ms;
         bw_ema_bytes_per_ms_ = bw_ema_bytes_per_ms_ == 0.0
@@ -417,9 +363,8 @@ void cloud_channel::run() {
                                    : 0.8 * bw_ema_bytes_per_ms_ + 0.2 * bw;
       }
       if (split_count > 0) {
-        split_appeals_ += split_count;
-        split_bytes_saved_ += bytes_saved;
-        metric_split_bytes_saved_.add(bytes_saved);
+        metrics_.split_appeals.add(split_count);
+        metrics_.split_bytes_saved.add(bytes_saved);
       }
     }
     // drain() also waits out the send window (sending_ids_); completions
@@ -443,7 +388,6 @@ void cloud_channel::run() {
       stranded.reserve(in_flight_.size());
       for (const auto& [id, entry] : in_flight_) stranded.push_back(id);
       std::vector<in_flight> entries = extract_locked(stranded);
-      local_fallbacks_ += entries.size();
       update_pressure_locked();
       lock.unlock();
       complete_locally(std::move(entries));
@@ -506,7 +450,6 @@ void cloud_channel::reap_overdue(std::unique_lock<std::mutex>& lock) {
     }
     std::vector<in_flight> entries = extract_locked(lost);
     if (entries.empty()) return;
-    local_fallbacks_ += entries.size();
     update_pressure_locked();
     lock.unlock();
     APPEAL_LOG_WARN("cloud_channel")
@@ -523,7 +466,6 @@ void cloud_channel::reap_overdue(std::unique_lock<std::mutex>& lock) {
   overdue.reserve(in_flight_.size());
   for (const auto& [id, entry] : in_flight_) overdue.push_back(id);
   std::vector<in_flight> entries = extract_locked(overdue);
-  local_fallbacks_ += entries.size();
   update_pressure_locked();
   lock.unlock();
   APPEAL_LOG_WARN("cloud_channel")
@@ -537,7 +479,6 @@ void cloud_channel::reap_overdue(std::unique_lock<std::mutex>& lock) {
 
 void cloud_channel::open_breaker_locked(bool retire, const char* why) {
   if (retire && transport_ != nullptr) {
-    accumulate(wire_base_, transport_->counters());
     retired_.push_back(std::move(transport_));
     transport_ = nullptr;
     // Invalidate the retired link's callbacks: a straggler completion or
@@ -548,7 +489,7 @@ void cloud_channel::open_breaker_locked(bool retire, const char* why) {
   }
   probe_in_flight_ = false;
   if (breaker_ != breaker_state::open) {
-    ++breaker_opens_;
+    metrics_.breaker_opens.add(1);
     APPEAL_LOG_WARN("cloud_channel")
         << "circuit breaker opened" << util::kv("link", name_)
         << util::kv("why", why)
@@ -564,7 +505,7 @@ void cloud_channel::set_breaker_locked(breaker_state s) {
   breaker_ = s;
   breaker_atomic_.store(static_cast<std::uint8_t>(s),
                         std::memory_order_relaxed);
-  metric_breaker_.set(static_cast<double>(static_cast<std::uint8_t>(s)));
+  metrics_.breaker.set(static_cast<double>(static_cast<std::uint8_t>(s)));
   update_pressure_locked();
 }
 
@@ -624,7 +565,7 @@ void cloud_channel::to_half_open(std::unique_lock<std::mutex>& lock) {
   lock.unlock();
   std::unique_ptr<cloud_transport> fresh;
   try {
-    fresh = make_cloud_transport(config_, backend_, link_, epoch);
+    fresh = make_cloud_transport(config_, backend_, link_, metrics_, epoch);
     fresh->start(
         [this, epoch](std::vector<cloud_transport::completion>&& done) {
           on_completions(epoch, std::move(done));
@@ -665,7 +606,7 @@ std::uint32_t cloud_channel::choose_cut_locked() {
   if (config_.split.mode == split_mode::off || !split_supported_) {
     if (active_cut_ != 0) {
       active_cut_ = 0;
-      metric_split_cut_.set(0.0);
+      metrics_.split_cut.set(0.0);
     }
     return 0;
   }
@@ -695,7 +636,7 @@ std::uint32_t cloud_channel::choose_cut_locked() {
                        full_flops / flops_per_ms + cloud_wait_ema_ms_;
     for (const split_cut_spec& c : config_.split.cuts) {
       if (cut_rejected_[c.id - 1]) continue;
-      // +4: the cut_id u32 the v5 record adds to the frame.
+      // +4: the cut_id u32 a split record adds to the frame.
       const double cost =
           uplink_ms(static_cast<double>(c.wire_bytes) + 4.0) +
           static_cast<double>(c.suffix_flops) / flops_per_ms +
@@ -715,13 +656,13 @@ std::uint32_t cloud_channel::choose_cut_locked() {
                chosen == 0 ? "raw-input"
                            : config_.split.cuts[chosen - 1].name.c_str());
     active_cut_ = chosen;
-    metric_split_cut_.set(static_cast<double>(chosen));
+    metrics_.split_cut.set(static_cast<double>(chosen));
   }
   return chosen;
 }
 
 void cloud_channel::reject_cut_locked(std::uint32_t cut) {
-  ++split_rejected_;
+  metrics_.split_rejected.add(1);
   if (cut == 0 || cut > cut_rejected_.size() || cut_rejected_[cut - 1]) {
     return;
   }
@@ -750,8 +691,7 @@ void cloud_channel::on_completions(
       // (fault injection / a confused peer): the first answer won.
       if (it == in_flight_.end()) continue;
       if (c.overloaded) {
-        ++overloaded_;
-        metric_overloaded_.add(1);
+        metrics_.overloaded.add(1);
         ++overload_streak_;
         in_flight entry = std::move(it->second);
         in_flight_.erase(it);
@@ -782,8 +722,7 @@ void cloud_channel::on_completions(
                             (entry.req.deadline == request::no_deadline ||
                              due < entry.req.deadline);
         if (viable) {
-          ++retries_;
-          metric_retries_.add(1);
+          metrics_.retries.add(1);
           pending p;
           p.req = std::move(entry.req);
           p.on_complete = std::move(entry.on_complete);
@@ -832,7 +771,6 @@ void cloud_channel::on_completions(
         in_flight_.erase(it);
       }
     }
-    local_fallbacks_ += fallback.size();
     update_pressure_locked();
     if (scheduled_retry) wake_.notify_all();  // re-arm the retry timer
   }
@@ -862,13 +800,15 @@ void cloud_channel::on_link_failure(std::uint64_t epoch) {
       entries.push_back(std::move(it->second));
       it = in_flight_.erase(it);
     }
-    local_fallbacks_ += entries.size();
     update_pressure_locked();
   }
   complete_locally(std::move(entries));
 }
 
 void cloud_channel::complete_locally(std::vector<in_flight>&& entries) {
+  // The one place a fallback is counted: before any of these completes,
+  // so a drained snapshot always sees it.
+  metrics_.fallbacks.add(entries.size());
   for (in_flight& entry : entries) {
     appeal_outcome outcome;
     {
@@ -903,7 +843,6 @@ void cloud_channel::finish(in_flight&& entry, appeal_outcome outcome) {
   }
   entry.on_complete(std::move(entry.req), outcome);
   std::lock_guard<std::mutex> lock(mutex_);
-  ++completed_;
   --outstanding_;
   if (outstanding_ == 0) drained_.notify_all();
 }

@@ -18,7 +18,7 @@
 //
 // Failure handling is a three-state circuit breaker, not a one-way
 // fallback:
-//   - an `overloaded` answer (wire v4 backpressure) is retried after a
+//   - an `overloaded` answer (the cloud's backpressure) is retried after a
 //     jittered exponential backoff that honors the cloud's retry-after
 //     hint, up to link_config::max_retries; exhausted (or deadline-dead)
 //     retries complete from the local fallback backend;
@@ -42,8 +42,12 @@
 // `fixed` mode pins the cut; `auto` picks per batch from the paper's
 // cost model extended with the measured link bandwidth (EMA of encoded
 // bytes per send-occupancy ms) and the cloud's reported queue wait. A
-// `rejected` answer (wire v5: the peer's model lacks the cut) completes
-// locally and blacklists that cut for the rest of the run.
+// `rejected` answer (the peer's model lacks the cut) completes locally
+// and blacklists that cut for the rest of the run.
+//
+// The channel keeps no counters of its own: fallbacks, retries, breaker
+// trips and split appeals are bumped straight into the link's registry
+// instruments (link_metrics), and its transport bumps the wire ones.
 #pragma once
 
 #include <atomic>
@@ -65,7 +69,6 @@
 #include "obs/metrics.hpp"
 #include "serve/backends.hpp"
 #include "serve/request.hpp"
-#include "serve/serve_stats.hpp"
 #include "serve/transport/cloud_transport.hpp"
 #include "util/rng.hpp"
 
@@ -77,64 +80,6 @@ enum class breaker_state : std::uint8_t { closed = 0, open = 1, half_open = 2 };
 
 const char* breaker_state_name(breaker_state s);
 
-/// Link-level statistics the serving stats report alongside the
-/// per-request counters.
-struct link_counters {
-  transport_counters wire;        // batches, appeals, bytes on the wire
-  std::size_t completed = 0;      // appeals answered (any path)
-  std::size_t local_fallbacks = 0;  // answered locally (link down/overloaded)
-  std::size_t retries = 0;        // overloaded appeals re-sent after backoff
-  std::size_t overloaded = 0;     // overloaded answers received
-  std::size_t breaker_opens = 0;  // breaker closed -> open transitions
-  std::size_t split_appeals = 0;  // appeals shipped as feature maps
-  std::size_t split_bytes_saved = 0;  // uplink bytes saved vs raw input
-  std::size_t split_rejected = 0;     // split appeals the cloud rejected
-  /// Breaker state at capture time (a state, not a counter: since()
-  /// keeps the current value rather than differencing it).
-  std::uint8_t breaker = 0;
-  /// Active split cut at capture time (a state like `breaker`).
-  std::uint32_t split_cut = 0;
-
-  /// Counters accumulated since `baseline` was captured (how
-  /// engine/deployment::reset_stats keeps the wire statistics aligned
-  /// with the post-warmup measurement window).
-  link_counters since(const link_counters& baseline) const {
-    link_counters d = *this;
-    d.wire.batches_sent -= baseline.wire.batches_sent;
-    d.wire.appeals_sent -= baseline.wire.appeals_sent;
-    d.wire.bytes_sent -= baseline.wire.bytes_sent;
-    d.wire.bytes_received -= baseline.wire.bytes_received;
-    d.completed -= baseline.completed;
-    d.local_fallbacks -= baseline.local_fallbacks;
-    d.retries -= baseline.retries;
-    d.overloaded -= baseline.overloaded;
-    d.breaker_opens -= baseline.breaker_opens;
-    d.split_appeals -= baseline.split_appeals;
-    d.split_bytes_saved -= baseline.split_bytes_saved;
-    d.split_rejected -= baseline.split_rejected;
-    return d;
-  }
-};
-
-/// Overlays the channel's wire counters onto a stats snapshot (called by
-/// engine::snapshot / deployment::snapshot).
-inline void apply_link_counters(stats_snapshot& s, const link_counters& c) {
-  s.appeal_batches = c.wire.batches_sent;
-  s.appeals_on_wire = c.wire.appeals_sent;
-  s.mean_appeals_per_batch = c.wire.mean_appeals_per_batch();
-  s.wire_bytes_tx = c.wire.bytes_sent;
-  s.wire_bytes_rx = c.wire.bytes_received;
-  s.link_fallbacks = c.local_fallbacks;
-  s.appeal_retries = c.retries;
-  s.appeal_overloaded = c.overloaded;
-  s.breaker_opens = c.breaker_opens;
-  s.breaker_state = c.breaker;
-  s.split_appeals = c.split_appeals;
-  s.split_bytes_saved = c.split_bytes_saved;
-  s.split_rejected = c.split_rejected;
-  s.split_cut = c.split_cut;
-}
-
 /// What came back for one appeal. `expired` means the cloud shed the
 /// appeal because its deadline was blown before a scorer reached it —
 /// `prediction` is meaningless and the caller should surface
@@ -145,8 +90,8 @@ struct appeal_outcome {
   std::size_t prediction = 0;
   double link_ms = 0.0;   // batched -> completed, client clock
   double cloud_ms = 0.0;  // cloud-reported queue wait + scoring time
-  /// The cloud_ms total split into queue wait and batched scoring (wire
-  /// v3 peers only; 0 otherwise). Feeds the trace spans' cloud stages.
+  /// The cloud_ms total split into queue wait and batched scoring (0 from
+  /// the simulator). Feeds the trace spans' cloud stages.
   double cloud_queue_ms = 0.0;
   double cloud_score_ms = 0.0;
   bool expired = false;
@@ -160,10 +105,12 @@ class cloud_channel {
 
   /// `backend` is the local big model: the simulator's scorer, and the
   /// fallback when a socket transport loses its peer. `name` rides the
-  /// wire as the deployment name. The cost model is kept by value: the
-  /// breaker's half-open reconnect builds a fresh transport from it.
+  /// wire as the deployment name and labels the link's instruments in
+  /// `registry`. The cost model is kept by value: the breaker's half-open
+  /// reconnect builds a fresh transport from it.
   cloud_channel(cloud_backend& backend, const collab::cost_model& link,
-                const link_config& cfg, std::string name = "");
+                const link_config& cfg, std::string name = "",
+                obs::metrics_registry& registry = obs::default_registry());
   ~cloud_channel();
 
   /// Enqueues an appeal; returns immediately. The completion callback
@@ -172,14 +119,13 @@ class cloud_channel {
   void appeal(request&& r, completion_fn on_complete);
 
   /// Blocks until every appeal enqueued so far has completed (including
-  /// parked retries).
+  /// parked retries) and the send in progress has returned, so every
+  /// counter of those appeals has landed.
   void drain();
 
-  /// Total appeals completed.
-  std::size_t completed() const;
-
-  /// Wire + completion counters for stats reporting.
-  link_counters counters() const;
+  /// The link's registry instruments (what this channel and its
+  /// transports count into).
+  const link_metrics& metrics() const { return metrics_; }
 
   /// Current breaker state (lock-free; admission and stats poll it).
   breaker_state breaker() const {
@@ -216,7 +162,8 @@ class cloud_channel {
   void on_completions(std::uint64_t epoch,
                       std::vector<cloud_transport::completion>&& batch);
   void on_link_failure(std::uint64_t epoch);
-  /// Scores `entries` with the local backend and completes them.
+  /// Scores `entries` with the local backend, counts them as fallbacks,
+  /// and completes them.
   void complete_locally(std::vector<in_flight>&& entries);
   void finish(in_flight&& entry, appeal_outcome outcome);
   /// Extracts the given wire ids from in_flight_ (those still present).
@@ -273,6 +220,7 @@ class cloud_channel {
   link_config config_;
   collab::cost_model link_;  // for rebuilding the transport on reconnect
   std::string name_;
+  link_metrics metrics_;
   /// Null while the breaker is hard-open (transport retired, not yet
   /// reconnected). Mutated under mutex_ only.
   std::unique_ptr<cloud_transport> transport_;
@@ -283,15 +231,12 @@ class cloud_channel {
   /// completion/failure callbacks carry the epoch they were registered
   /// under and are ignored when stale.
   std::uint64_t epoch_ = 0;
-  /// Wire counters accumulated from retired transports, so counters()
-  /// spans reconnections.
-  transport_counters wire_base_;
 
   /// Serializes local fallback scoring: the coalescing thread and the
   /// transport reader may both complete entries locally while the link
   /// dies, and backend_.infer (a network forward) is not thread-safe.
   std::mutex fallback_mutex_;
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable wake_;     // coalescing thread wake-ups
   std::condition_variable drained_;  // drain() waiters
   std::deque<pending> pending_;
@@ -311,11 +256,6 @@ class cloud_channel {
   util::rng jitter_rng_;  // retry backoff jitter (guarded by mutex_)
   std::uint64_t next_wire_id_ = 0;
   std::size_t outstanding_ = 0;
-  std::size_t completed_ = 0;
-  std::size_t local_fallbacks_ = 0;
-  std::size_t retries_ = 0;
-  std::size_t overloaded_ = 0;
-  std::size_t breaker_opens_ = 0;
   std::size_t overload_streak_ = 0;  // consecutive overloaded answers
   // --- split computing (config_.split; guarded by mutex_) ---
   /// Cleared the first time backend_.prefix_feature returns empty (a
@@ -331,9 +271,6 @@ class cloud_channel {
   /// EMA of the cloud's reported work-queue wait (cloud_queue_ms on ok
   /// answers, retry-after hints on overloads).
   double cloud_wait_ema_ms_ = 0.0;
-  std::size_t split_appeals_ = 0;
-  std::size_t split_bytes_saved_ = 0;
-  std::size_t split_rejected_ = 0;
   breaker_state breaker_ = breaker_state::closed;
   std::chrono::steady_clock::time_point open_until_{};
   /// Half-open sends exactly one appeal at a time; set while that probe
@@ -348,11 +285,6 @@ class cloud_channel {
   std::atomic<std::uint8_t> breaker_atomic_{0};
   std::atomic<bool> pressure_{false};
   bool stopping_ = false;
-  obs::counter& metric_retries_;
-  obs::counter& metric_overloaded_;
-  obs::gauge& metric_breaker_;
-  obs::gauge& metric_split_cut_;
-  obs::counter& metric_split_bytes_saved_;
   std::thread worker_;
 };
 

@@ -16,16 +16,12 @@ cloud_backend& require_cloud(const std::unique_ptr<cloud_backend>& cloud) {
   return *cloud;
 }
 
-/// The deployment's name becomes the {deployment=...} label on its
-/// registry instruments unless the caller already chose one.
-serve_stats_config labeled_stats(serve_stats_config cfg,
-                                 const std::string& name) {
-  if (cfg.deployment.empty()) cfg.deployment = name;
-  return cfg;
-}
-
-deployment_config validated(deployment_config cfg) {
+/// Validates `cfg`; the deployment's name becomes the {deployment=...}
+/// label on its instruments (and its shards') unless the caller already
+/// chose one.
+deployment_config validated(deployment_config cfg, const std::string& name) {
   validate(cfg);
+  if (cfg.shard.stats.deployment.empty()) cfg.shard.stats.deployment = name;
   return cfg;
 }
 
@@ -84,31 +80,28 @@ const char* edge_precision_name(edge_precision p) {
 deployment::deployment(std::string name, const deployment_config& cfg,
                        edge_backend_factory edge, cloud_backend_factory cloud)
     : name_(std::move(name)),
-      config_(validated(cfg)),
+      config_(validated(cfg, name_)),
       cloud_(cloud ? cloud() : nullptr),
-      stats_(labeled_stats(cfg.shard.stats, name_)),
+      registry_(owner_registry(config_.shard.stats.deployment, own_registry_)),
       controller_(cfg.shard.threshold, &config_.shard.link),
       channel_(require_cloud(cloud_), config_.shard.link,
-               config_.shard.channel, name_) {
+               config_.shard.channel, name_, registry_),
+      stats_(config_.shard.stats, registry_, channel_.metrics()) {
   APPEAL_CHECK(edge != nullptr, "deployment needs an edge backend factory");
   // Every deployment exports the bit-width of its edge path, so a scrape
   // can tell a quantized deployment from a float one at a glance.
   obs::default_registry()
       .get_gauge("appeal_edge_bits",
-                 {{"deployment", labeled_stats(cfg.shard.stats, name_)
-                                     .deployment}},
+                 {{"deployment", config_.shard.stats.deployment}},
                  "narrowest weight bit-width deployed on the edge path")
       .set(static_cast<double>(config_.edge_weight_bits));
   engines_.reserve(config_.shards);
   for (std::size_t s = 0; s < config_.shards; ++s) {
+    // Every shard carries the deployment's label, so all of them share
+    // one family of appeal_node_* ledgers and conservation holds at
+    // deployment granularity.
     engine_config shard_cfg = config_.shard;
     shard_cfg.shard_id = s;
-    // Shard mode ignores shard_cfg.stats for stats creation (the shared
-    // sink above is the aggregation point), but its deployment name
-    // labels the shard's per-node appeal_node_* ledgers — all shards
-    // share one labeled instrument family, so conservation holds at
-    // deployment granularity.
-    shard_cfg.stats = labeled_stats(config_.shard.stats, name_);
     std::vector<std::unique_ptr<edge_backend>> per_worker;
     per_worker.reserve(shard_cfg.num_workers);
     for (std::size_t w = 0; w < shard_cfg.num_workers; ++w) {
@@ -124,12 +117,6 @@ deployment::deployment(std::string name, const deployment_config& cfg,
 }
 
 deployment::~deployment() { shutdown(); }
-
-stats_snapshot deployment::snapshot() const {
-  stats_snapshot s = stats_.snapshot();
-  apply_link_counters(s, channel_.counters().since(link_baseline_));
-  return s;
-}
 
 std::size_t deployment::shard_for_key(std::uint64_t key) const {
   // Well-mixed stable hash so consecutive keys spread across shards
@@ -162,6 +149,7 @@ std::future<response> deployment::submit(inference_request&& req) {
 
 void deployment::drain() {
   for (auto& eng : engines_) eng->drain();
+  channel_.drain();  // the last send's wire counters land before a snapshot
 }
 
 void deployment::shutdown() {
@@ -169,12 +157,6 @@ void deployment::shutdown() {
   // channel (drain waits on *all* outstanding appeals, so the order of
   // shards does not matter).
   for (auto& eng : engines_) eng->shutdown();
-}
-
-std::size_t deployment::shed_total() const {
-  std::size_t total = 0;
-  for (const auto& eng : engines_) total += eng->admission().shed();
-  return total;
 }
 
 }  // namespace appeal::serve

@@ -6,9 +6,10 @@
 // one uplink; appeals from every shard serialize on the same simulated
 // radio), one per-deployment threshold_controller (δ adapts to the
 // deployment's whole traffic, not per-shard slices of it), and one
-// serve_stats aggregation point. Backends come from factories so each
-// shard/worker gets its own instance (stateful network backends stay
-// single-threaded) and the deployment owns everything it runs.
+// serve_stats window over the deployment's registry instruments. Backends
+// come from factories so each shard/worker gets its own instance
+// (stateful network backends stay single-threaded) and the deployment
+// owns everything it runs.
 //
 // Routing: `key_affine` hashes request.key onto a shard — the same key
 // always lands on the same shard (cache affinity, per-key ordering);
@@ -105,15 +106,12 @@ class deployment {
   /// Stops all shards and drains the shared channel. Idempotent.
   void shutdown();
 
-  /// Per-deployment aggregated statistics (all shards record here).
-  const serve_stats& stats() const { return stats_; }
-  /// Snapshot with the shared cloud link's wire counters overlaid
-  /// (counted from the last reset_stats(), like every other statistic).
-  stats_snapshot snapshot() const;
-  void reset_stats() {
-    stats_.reset();
-    link_baseline_ = channel_.counters();
-  }
+  /// The window since construction or the last reset_stats(): request
+  /// counters, latency, and the shared link's wire counters (all shards
+  /// and the shared cloud link count into the instruments it views).
+  stats_snapshot snapshot() const { return stats_.snapshot(); }
+  /// Opens a new window (after a warmup, with no requests in flight).
+  void reset_stats() { stats_.reset(); }
 
   /// The deployment's one uplink (appeals from every shard coalesce on
   /// it).
@@ -123,20 +121,16 @@ class deployment {
   engine& shard(std::size_t i) { return *engines_.at(i); }
   const deployment_config& config() const { return config_; }
 
-  /// Sum of admission-shed requests across shards (introspection; the
-  /// canonical count is stats().snapshot().shed).
-  std::size_t shed_total() const;
-
  private:
   std::string name_;
   deployment_config config_;
   std::unique_ptr<cloud_backend> cloud_;
-  serve_stats stats_;
+  /// Set only when the deployment has no name (see owner_registry()).
+  std::unique_ptr<obs::metrics_registry> own_registry_;
+  obs::metrics_registry& registry_;
   threshold_controller controller_;
   cloud_channel channel_;
-  /// Channel counters at the last reset_stats(); snapshot() reports the
-  /// delta so wire statistics cover the same window as everything else.
-  link_counters link_baseline_;
+  serve_stats stats_;
   std::vector<std::unique_ptr<engine>> engines_;
 };
 

@@ -74,16 +74,18 @@ std::vector<edge_backend*> resolve_edge_backends(
   return backends;
 }
 
-/// Builds the engine-owned channel when no shared one was supplied.
-std::unique_ptr<cloud_channel> resolve_channel(const engine_resources& res,
-                                               cloud_backend* owned_cloud,
-                                               const engine_config& cfg) {
+/// Builds the engine-owned channel when no shared one was supplied,
+/// named (and labeled) after the engine's deployment.
+std::unique_ptr<cloud_channel> resolve_channel(
+    const engine_resources& res, cloud_backend* owned_cloud,
+    const engine_config& cfg, obs::metrics_registry& registry) {
   if (res.shared_channel != nullptr) return nullptr;
   cloud_backend* cloud =
       res.shared_cloud != nullptr ? res.shared_cloud : owned_cloud;
   APPEAL_CHECK(cloud != nullptr,
                "engine needs a cloud backend or a shared channel");
-  return std::make_unique<cloud_channel>(*cloud, cfg.link, cfg.channel);
+  return std::make_unique<cloud_channel>(*cloud, cfg.link, cfg.channel,
+                                         cfg.stats.deployment, registry);
 }
 
 }  // namespace
@@ -131,35 +133,40 @@ engine::engine(const engine_config& cfg, engine_resources&& res)
       edge_backends_(resolve_edge_backends(res.shared_edge, owned_edge_,
                                            cfg.num_workers)),
       queue_(cfg.queue_capacity),
+      registry_(res.shared_stats != nullptr
+                    ? res.shared_stats->registry()
+                    : owner_registry(cfg.stats.deployment, own_registry_)),
       owned_controller_(res.shared_controller != nullptr
                             ? nullptr
                             : std::make_unique<threshold_controller>(
                                   cfg.threshold, &config_.link)),
-      owned_stats_(res.shared_stats != nullptr
-                       ? nullptr
-                       : std::make_unique<serve_stats>(cfg.stats)),
-      owned_channel_(resolve_channel(res, owned_cloud_.get(), config_)),
       controller_(res.shared_controller != nullptr ? res.shared_controller
                                                    : owned_controller_.get()),
-      stats_(res.shared_stats != nullptr ? res.shared_stats
-                                         : owned_stats_.get()),
+      owned_channel_(
+          resolve_channel(res, owned_cloud_.get(), config_, registry_)),
       channel_(res.shared_channel != nullptr ? res.shared_channel
                                              : owned_channel_.get()),
+      owned_stats_(res.shared_stats != nullptr
+                       ? nullptr
+                       : std::make_unique<serve_stats>(cfg.stats, registry_,
+                                                       channel_->metrics())),
+      stats_(res.shared_stats != nullptr ? res.shared_stats
+                                         : owned_stats_.get()),
       admission_(cfg.admission),
-      cloud_node_(cfg.stats.deployment, *channel_, *controller_, cfg.shard_id,
-                  cfg.pipeline.appeal_queue_depth, completion()),
-      decide_node_(cfg.stats.deployment, *controller_, cfg.shard_id,
-                   cfg.pipeline.decide_queue_depth, cloud_node_.input(),
-                   completion()),
-      edge_node_(cfg.stats.deployment, edge_backends_,
+      cloud_node_(registry_, cfg.stats.deployment, *channel_, *controller_,
+                  cfg.shard_id, cfg.pipeline.appeal_queue_depth, completion()),
+      decide_node_(registry_, cfg.stats.deployment, *controller_,
+                   cfg.shard_id, cfg.pipeline.decide_queue_depth,
+                   cloud_node_.input(), completion()),
+      edge_node_(registry_, cfg.stats.deployment, edge_backends_,
                  cfg.simulate_edge_compute,
                  config_.link.overall_latency_ms(1.0),
                  cfg.channel.time_scale, cfg.pipeline.batch_queue_depth,
                  decide_node_.input()),
-      batch_node_(cfg.stats.deployment, queue_, cfg.batching,
+      batch_node_(registry_, cfg.stats.deployment, queue_, cfg.batching,
                   edge_node_.input()),
-      ingress_node_(cfg.stats.deployment, admission_, queue_, cfg.shard_id,
-                    completion()) {
+      ingress_node_(registry_, cfg.stats.deployment, admission_, queue_,
+                    cfg.shard_id, completion()) {
   apply_gemm_threads(config_);
   graph_.add(ingress_node_);
   graph_.add(batch_node_);
@@ -207,17 +214,17 @@ std::future<response> engine::submit(inference_request&& req) {
   throw util::error("submit() on a shut-down engine");
 }
 
-stats_snapshot engine::snapshot() const {
-  stats_snapshot s = stats_->snapshot();
-  apply_link_counters(s, channel_->counters().since(link_baseline_));
-  return s;
-}
-
 void engine::drain() {
-  std::unique_lock<std::mutex> lock(drain_mutex_);
-  drained_.wait(lock, [&] {
-    return outstanding_.load(std::memory_order_acquire) == 0;
-  });
+  {
+    std::unique_lock<std::mutex> lock(drain_mutex_);
+    drained_.wait(lock, [&] {
+      return outstanding_.load(std::memory_order_acquire) == 0;
+    });
+  }
+  // A fast peer can answer before its frame's send returns: wait that
+  // send out so its wire counters land before a snapshot. (A deployment
+  // drains its shared channel once, after all its shards.)
+  if (owned_channel_ != nullptr) owned_channel_->drain();
 }
 
 void engine::shutdown() {

@@ -23,8 +23,10 @@
 // Ownership: engine_resources says what the engine owns vs shares. A
 // standalone engine owns its channel/controller/stats; a serve::deployment
 // shard shares the deployment's cloud_channel, threshold_controller (the
-// per-deployment δ), and serve_stats (the per-deployment aggregation
-// point).
+// per-deployment δ), and serve_stats (the per-deployment window over the
+// registry). Every count lands in one obs::metrics_registry — the
+// deployment's, or for a standalone engine owner_registry() of its
+// cfg.stats.deployment name (a registry of its own when unnamed).
 //
 // Threading: `num_workers` edge-infer threads pull batches concurrently
 // (one backend per worker so stateful backends such as
@@ -179,7 +181,9 @@ class engine {
   /// Throws util::error after shutdown.
   std::future<response> submit(inference_request&& req);
 
-  /// Blocks until every submitted request has completed.
+  /// Blocks until every submitted request has completed — and, when the
+  /// engine owns its cloud channel, until the send in progress has
+  /// returned, so every counter of those requests has landed.
   void drain();
 
   /// Stops accepting work, drains the pipeline graph in topological
@@ -187,15 +191,15 @@ class engine {
   /// destructor.
   void shutdown();
 
-  const serve_stats& stats() const { return *stats_; }
-
-  /// Stats snapshot with the cloud link's wire counters overlaid (bytes,
-  /// batches, appeals/batch, local fallbacks).
-  stats_snapshot snapshot() const;
+  /// The stats window: request counters, latency, and the cloud link's
+  /// wire counters (bytes, batches, appeals/batch, local fallbacks).
+  stats_snapshot snapshot() const { return stats_->snapshot(); }
 
   /// Per-node conservation ledgers (in/out/egress per pipeline stage),
-  /// in topological order. Once drained: in == out + egress at every
-  /// node and the egress sum equals the submitted count.
+  /// in topological order, read from the node instruments. A
+  /// deployment's shards share those instruments, so a shard reports the
+  /// deployment's ledger. Once drained: in == out + egress at every node
+  /// and the egress sum equals the submitted count.
   std::vector<pipeline::node_stats> node_stats() const {
     return graph_.stats();
   }
@@ -204,14 +208,10 @@ class engine {
   /// the engine belongs to a deployment).
   const cloud_channel& channel() const { return *channel_; }
 
-  /// Discards all stats so far (counters, latency histogram, clock, and
-  /// the snapshot's wire-counter window) — call after a warmup phase,
-  /// with no requests in flight, to open a clean measurement window.
+  /// Opens a new stats window (counters, latency histogram, clock, wire
+  /// counters) — call after a warmup phase, with no requests in flight.
   /// The threshold controller keeps its state.
-  void reset_stats() {
-    stats_->reset();
-    link_baseline_ = channel_->counters();
-  }
+  void reset_stats() { stats_->reset(); }
   threshold_controller& controller() { return *controller_; }
   const admission_controller& admission() const { return admission_; }
   const engine_config& config() const { return config_; }
@@ -230,15 +230,15 @@ class engine {
   std::unique_ptr<cloud_backend> owned_cloud_;
   std::vector<edge_backend*> edge_backends_;
   request_queue queue_;
+  /// Set only for an unnamed standalone engine (see owner_registry()).
+  std::unique_ptr<obs::metrics_registry> own_registry_;
+  obs::metrics_registry& registry_;
   std::unique_ptr<threshold_controller> owned_controller_;
-  std::unique_ptr<serve_stats> owned_stats_;
-  std::unique_ptr<cloud_channel> owned_channel_;
   threshold_controller* controller_;
-  serve_stats* stats_;
+  std::unique_ptr<cloud_channel> owned_channel_;
   cloud_channel* channel_;
-  /// Channel counters at the last reset_stats(); snapshot() reports the
-  /// delta so wire statistics cover the same window as everything else.
-  link_counters link_baseline_;
+  std::unique_ptr<serve_stats> owned_stats_;
+  serve_stats* stats_;
   admission_controller admission_;
 
   std::atomic<std::uint64_t> next_id_{0};

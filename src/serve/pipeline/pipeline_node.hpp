@@ -21,18 +21,19 @@
 // request that LEAVES the graph at this node (its promise fulfilled)
 // counts `egress`. Once drained, in == out + egress at every node, each
 // node's out equals the next node's in, and the sum of all egress equals
-// the engine's submitted count. The ledger is mirrored into the obs
-// metrics registry (`appeal_node_in_total` / `appeal_node_out_total` /
-// `appeal_node_egress_total`, labeled {deployment=...,node=...}) so the
-// loopback CI job can assert conservation on a live scrape — a stranded
-// item shows up as a node whose books do not balance.
+// the engine's submitted count. The ledger lives in the owner's metrics
+// registry and nowhere else (`appeal_node_in_total` /
+// `appeal_node_out_total` / `appeal_node_egress_total`, labeled
+// {deployment=...,node=...}), so tests read the same books the loopback
+// CI job checks on a live scrape — a stranded item shows up as a node
+// whose books do not balance. The shards of one deployment share a
+// node's instruments: the ledger is per deployment.
 //
 // Counters count REQUESTS, not batches: a node whose items are batches
 // bumps the ledger by the number of member requests, so the ledger is
 // comparable across nodes that batch and nodes that do not.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -51,9 +52,10 @@ struct node_stats {
 
 class pipeline_node {
  public:
-  /// `deployment` labels this node's registry instruments; empty =
-  /// unlabeled (standalone engines and tests).
-  pipeline_node(std::string name, const std::string& deployment);
+  /// The ledger is registered in `registry`; `deployment` labels it
+  /// (empty = unlabeled).
+  pipeline_node(std::string name, obs::metrics_registry& registry,
+                const std::string& deployment);
   virtual ~pipeline_node() = default;
 
   pipeline_node(const pipeline_node&) = delete;
@@ -73,41 +75,20 @@ class pipeline_node {
 
   const std::string& name() const { return name_; }
 
-  std::uint64_t in_count() const {
-    return in_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t out_count() const {
-    return out_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t egress_count() const {
-    return egress_.load(std::memory_order_relaxed);
-  }
-
+  /// The ledger as the node's instruments read now.
   node_stats stats() const {
-    return {name_, in_count(), out_count(), egress_count()};
+    return {name_, metric_in_.value(), metric_out_.value(),
+            metric_egress_.value()};
   }
 
  protected:
-  // The ledger. Called from worker threads; both the local atomic (the
-  // per-instance truth tests read) and the registry mirror are wait-free.
-  void count_in(std::uint64_t n = 1) {
-    in_.fetch_add(n, std::memory_order_relaxed);
-    metric_in_.add(n);
-  }
-  void count_out(std::uint64_t n = 1) {
-    out_.fetch_add(n, std::memory_order_relaxed);
-    metric_out_.add(n);
-  }
-  void count_egress(std::uint64_t n = 1) {
-    egress_.fetch_add(n, std::memory_order_relaxed);
-    metric_egress_.add(n);
-  }
+  // The ledger. Called from worker threads; wait-free.
+  void count_in(std::uint64_t n = 1) { metric_in_.add(n); }
+  void count_out(std::uint64_t n = 1) { metric_out_.add(n); }
+  void count_egress(std::uint64_t n = 1) { metric_egress_.add(n); }
 
  private:
   std::string name_;
-  std::atomic<std::uint64_t> in_{0};
-  std::atomic<std::uint64_t> out_{0};
-  std::atomic<std::uint64_t> egress_{0};
   obs::counter& metric_in_;
   obs::counter& metric_out_;
   obs::counter& metric_egress_;

@@ -16,12 +16,13 @@ double ms_between(clock::time_point from, clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
-obs::gauge* depth_gauge(const std::string& deployment,
+obs::gauge* depth_gauge(obs::metrics_registry& registry,
+                        const std::string& deployment,
                         const std::string& node) {
   obs::label_set labels;
   if (!deployment.empty()) labels.emplace_back("deployment", deployment);
   labels.emplace_back("node", node);
-  return &obs::default_registry().get_gauge(
+  return &registry.get_gauge(
       "appeal_node_queue_depth", std::move(labels),
       "instantaneous occupancy of this node's input queue");
 }
@@ -30,11 +31,12 @@ obs::gauge* depth_gauge(const std::string& deployment,
 
 // ---------------------------------------------------------------- ingress
 
-ingress_node::ingress_node(const std::string& deployment,
+ingress_node::ingress_node(obs::metrics_registry& registry,
+                           const std::string& deployment,
                            admission_controller& admission,
                            request_queue& queue, std::size_t shard_id,
                            complete_fn complete)
-    : pipeline_node("ingress", deployment),
+    : pipeline_node("ingress", registry, deployment),
       admission_(admission),
       queue_(queue),
       shard_id_(shard_id),
@@ -66,11 +68,12 @@ admission_verdict ingress_node::submit(request&& r) {
 
 // ----------------------------------------------------------- batch former
 
-batch_former_node::batch_former_node(const std::string& deployment,
+batch_former_node::batch_former_node(obs::metrics_registry& registry,
+                                     const std::string& deployment,
                                      request_queue& queue,
                                      const batch_policy& policy,
                                      node_queue<batch>& downstream)
-    : pipeline_node("batch_former", deployment),
+    : pipeline_node("batch_former", registry, deployment),
       queue_(queue),
       policy_(policy),
       downstream_(downstream) {}
@@ -95,17 +98,18 @@ void batch_former_node::join() {
 
 // ------------------------------------------------------------- edge infer
 
-edge_infer_node::edge_infer_node(const std::string& deployment,
+edge_infer_node::edge_infer_node(obs::metrics_registry& registry,
+                                 const std::string& deployment,
                                  std::vector<edge_backend*> backends,
                                  bool simulate_edge_compute, double edge_ms,
                                  double time_scale, std::size_t queue_depth,
                                  node_queue<scored_batch>& downstream)
-    : pipeline_node("edge_infer", deployment),
+    : pipeline_node("edge_infer", registry, deployment),
       backends_(std::move(backends)),
       simulate_edge_compute_(simulate_edge_compute),
       edge_ms_(edge_ms),
       time_scale_(time_scale),
-      input_(queue_depth, depth_gauge(deployment, "edge_infer")),
+      input_(queue_depth, depth_gauge(registry, deployment, "edge_infer")),
       downstream_(downstream) {
   APPEAL_CHECK(!backends_.empty(), "edge_infer_node needs backends");
   for (edge_backend* backend : backends_) {
@@ -204,16 +208,17 @@ void edge_infer_node::worker(edge_backend& backend) {
 
 // ---------------------------------------------------------- appeal decide
 
-appeal_decide_node::appeal_decide_node(const std::string& deployment,
+appeal_decide_node::appeal_decide_node(obs::metrics_registry& registry,
+                                       const std::string& deployment,
                                        threshold_controller& controller,
                                        std::size_t shard_id,
                                        std::size_t queue_depth,
                                        node_queue<appeal_item>& downstream,
                                        complete_fn complete)
-    : pipeline_node("appeal_decide", deployment),
+    : pipeline_node("appeal_decide", registry, deployment),
       controller_(controller),
       shard_id_(shard_id),
-      input_(queue_depth, depth_gauge(deployment, "appeal_decide")),
+      input_(queue_depth, depth_gauge(registry, deployment, "appeal_decide")),
       downstream_(downstream),
       complete_(std::move(complete)) {}
 
@@ -325,17 +330,18 @@ void appeal_decide_node::worker() {
 
 // ----------------------------------------------------------- cloud appeal
 
-cloud_appeal_node::cloud_appeal_node(const std::string& deployment,
+cloud_appeal_node::cloud_appeal_node(obs::metrics_registry& registry,
+                                     const std::string& deployment,
                                      cloud_channel& channel,
                                      threshold_controller& controller,
                                      std::size_t shard_id,
                                      std::size_t queue_depth,
                                      complete_fn complete)
-    : pipeline_node("cloud_appeal", deployment),
+    : pipeline_node("cloud_appeal", registry, deployment),
       channel_(channel),
       controller_(controller),
       shard_id_(shard_id),
-      input_(queue_depth, depth_gauge(deployment, "cloud_appeal")),
+      input_(queue_depth, depth_gauge(registry, deployment, "cloud_appeal")),
       complete_(std::move(complete)) {}
 
 void cloud_appeal_node::start() {

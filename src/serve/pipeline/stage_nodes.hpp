@@ -86,9 +86,9 @@ struct appeal_item {
 /// queue, which ends the batch former.
 class ingress_node final : public pipeline_node {
  public:
-  ingress_node(const std::string& deployment, admission_controller& admission,
-               request_queue& queue, std::size_t shard_id,
-               complete_fn complete);
+  ingress_node(obs::metrics_registry& registry, const std::string& deployment,
+               admission_controller& admission, request_queue& queue,
+               std::size_t shard_id, complete_fn complete);
 
   /// Admits, degrades, sheds (completing the request here), or reports
   /// closed (request untouched, nothing counted — it never entered the
@@ -113,7 +113,8 @@ class ingress_node final : public pipeline_node {
 /// and admission starts shedding/degrading.
 class batch_former_node final : public pipeline_node {
  public:
-  batch_former_node(const std::string& deployment, request_queue& queue,
+  batch_former_node(obs::metrics_registry& registry,
+                    const std::string& deployment, request_queue& queue,
                     const batch_policy& policy, node_queue<batch>& downstream);
 
   void start() override;
@@ -132,10 +133,11 @@ class batch_former_node final : public pipeline_node {
 /// arena stays private). Expired members are marked, not inferred.
 class edge_infer_node final : public pipeline_node {
  public:
-  edge_infer_node(const std::string& deployment,
+  edge_infer_node(obs::metrics_registry& registry,
+                  const std::string& deployment,
                   std::vector<edge_backend*> backends,
-                  bool simulate_edge_compute, double edge_ms,
-                  double time_scale, std::size_t queue_depth,
+                  bool simulate_edge_compute, double edge_ms, double time_scale,
+                  std::size_t queue_depth,
                   node_queue<scored_batch>& downstream);
 
   node_queue<batch>& input() { return input_; }
@@ -164,11 +166,11 @@ class edge_infer_node final : public pipeline_node {
 /// and the score denominator, expired members from everything.
 class appeal_decide_node final : public pipeline_node {
  public:
-  appeal_decide_node(const std::string& deployment,
+  appeal_decide_node(obs::metrics_registry& registry,
+                     const std::string& deployment,
                      threshold_controller& controller, std::size_t shard_id,
                      std::size_t queue_depth,
-                     node_queue<appeal_item>& downstream,
-                     complete_fn complete);
+                     node_queue<appeal_item>& downstream, complete_fn complete);
 
   node_queue<scored_batch>& input() { return input_; }
 
@@ -190,11 +192,12 @@ class appeal_decide_node final : public pipeline_node {
 /// Stage 5 — the cloud sink. One thread hands appeal items to the
 /// cloud_channel (which coalesces, frames, and retries them); the
 /// channel's completion callback — running on a transport receive thread
-/// or the simulator thread — is this node's egress. out_count() stays 0:
+/// or the simulator thread — is this node's egress. Its `out` stays 0:
 /// nothing leaves this node except fulfilled promises.
 class cloud_appeal_node final : public pipeline_node {
  public:
-  cloud_appeal_node(const std::string& deployment, cloud_channel& channel,
+  cloud_appeal_node(obs::metrics_registry& registry,
+                    const std::string& deployment, cloud_channel& channel,
                     threshold_controller& controller, std::size_t shard_id,
                     std::size_t queue_depth, complete_fn complete);
 

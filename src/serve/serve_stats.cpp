@@ -1,5 +1,6 @@
 #include "serve/serve_stats.hpp"
 
+#include <cmath>
 #include <cstdio>
 
 #include "util/error.hpp"
@@ -13,172 +14,193 @@ obs::label_set deployment_labels(const std::string& deployment) {
   return {{"deployment", deployment}};
 }
 
+/// Cost sums are counted in whole microseconds; the rounding error of a
+/// mean over many requests is far below the 1 µs a render shows.
+std::uint64_t to_us(double ms) {
+  return ms > 0.0 ? static_cast<std::uint64_t>(std::llround(ms * 1e3)) : 0;
+}
+
+/// num / den (scaled), 0 when nothing was counted.
+double ratio(std::uint64_t num, std::uint64_t den, double scale = 1.0) {
+  return den == 0 ? 0.0
+                  : scale * static_cast<double>(num) / static_cast<double>(den);
+}
+
 }  // namespace
 
-serve_stats::serve_stats(const serve_stats_config& cfg)
-    : config_(cfg),
-      latency_(0.0, cfg.latency_range_ms, cfg.latency_bins),
-      metric_submitted_(obs::default_registry().get_counter(
-          "appeal_requests_total", deployment_labels(cfg.deployment),
-          "requests that entered submit() and have completed (any status)")),
-      metric_completed_(obs::default_registry().get_counter(
-          "appeal_completed_total", deployment_labels(cfg.deployment),
-          "requests that produced a prediction")),
-      metric_edge_(obs::default_registry().get_counter(
-          "appeal_edge_total", deployment_labels(cfg.deployment),
-          "requests answered on the edge (score >= delta or degraded)")),
-      metric_appealed_(obs::default_registry().get_counter(
-          "appeal_appealed_total", deployment_labels(cfg.deployment),
-          "requests appealed to the cloud")),
-      metric_shed_(obs::default_registry().get_counter(
-          "appeal_shed_total", deployment_labels(cfg.deployment),
-          "requests refused at admission")),
-      metric_expired_(obs::default_registry().get_counter(
-          "appeal_expired_total", deployment_labels(cfg.deployment),
-          "requests whose deadline passed before an edge worker")),
-      metric_cloud_expired_(obs::default_registry().get_counter(
-          "appeal_cloud_expired_requests_total",
-          deployment_labels(cfg.deployment),
-          "appealed requests shed in the cloud's work queue")),
-      metric_latency_(obs::default_registry().get_histogram(
+obs::metrics_registry& owner_registry(
+    const std::string& deployment,
+    std::unique_ptr<obs::metrics_registry>& own) {
+  if (!deployment.empty()) return obs::default_registry();
+  if (own == nullptr) own = std::make_unique<obs::metrics_registry>();
+  return *own;
+}
+
+serve_stats::serve_stats(const serve_stats_config& cfg,
+                         obs::metrics_registry& registry,
+                         const link_metrics& link)
+    : registry_(registry),
+      latency_(registry.get_histogram(
           "appeal_latency_ms", deployment_labels(cfg.deployment), 0.0,
           cfg.latency_range_ms, cfg.latency_bins,
-          "end-to-end latency of completed requests")) {
+          "end-to-end latency of completed requests")),
+      breaker_(link.breaker),
+      split_cut_(link.split_cut) {
   APPEAL_CHECK(cfg.latency_range_ms > 0.0, "latency range must be positive");
+  const obs::label_set labels = deployment_labels(cfg.deployment);
+  const auto own = [&](counter_id id, const char* name, const char* help) {
+    counters_[id] = &registry.get_counter(name, labels, help);
+  };
+  own(kSubmitted, "appeal_requests_total",
+      "requests that entered submit() and have completed (any status)");
+  own(kCompleted, "appeal_completed_total",
+      "requests that produced a prediction");
+  own(kEdge, "appeal_edge_total",
+      "requests answered on the edge (score >= delta or degraded)");
+  own(kDegraded, "appeal_degraded_total",
+      "requests admission pinned to the edge (route edge_degraded)");
+  own(kAppealed, "appeal_appealed_total", "requests appealed to the cloud");
+  own(kShed, "appeal_shed_total", "requests refused at admission");
+  own(kExpired, "appeal_expired_total",
+      "requests whose deadline passed before an edge worker");
+  own(kCloudExpired, "appeal_cloud_expired_requests_total",
+      "appealed requests shed in the cloud's work queue");
+  own(kLabeled, "appeal_labeled_total",
+      "completed requests that carried a ground-truth label");
+  own(kCorrect, "appeal_correct_total",
+      "labeled requests answered correctly");
+  own(kCloudLabeled, "appeal_cloud_labeled_total",
+      "appealed requests that carried a ground-truth label");
+  own(kCloudCorrect, "appeal_cloud_correct_total",
+      "labeled appeals the cloud path answered correctly");
+  own(kQueueUs, "appeal_queue_wait_us_total",
+      "summed enqueue-to-batch wait of completed requests (us)");
+  own(kLinkUs, "appeal_link_us_total",
+      "summed uplink + cloud round trip of appealed requests (us)");
+  own(kCloudUs, "appeal_cloud_us_total",
+      "summed cloud-reported queue wait + scoring of appeals (us)");
+  counters_[kBatches] = &link.batches;
+  counters_[kAppeals] = &link.appeals;
+  counters_[kTxBytes] = &link.tx_bytes;
+  counters_[kRxBytes] = &link.rx_bytes;
+  counters_[kFallbacks] = &link.fallbacks;
+  counters_[kRetries] = &link.retries;
+  counters_[kOverloaded] = &link.overloaded;
+  counters_[kBreakerOpens] = &link.breaker_opens;
+  counters_[kSplitAppeals] = &link.split_appeals;
+  counters_[kSplitBytesSaved] = &link.split_bytes_saved;
+  counters_[kSplitRejected] = &link.split_rejected;
+  reset();
 }
 
 void serve_stats::record(const response& r, bool labeled, bool correct) {
-  metric_submitted_.add(1);
-  std::lock_guard<std::mutex> lock(mutex_);
+  bump(kSubmitted);
   if (r.status == request_status::shed) {
-    ++shed_;
-    metric_shed_.add(1);
+    bump(kShed);
     return;
   }
   if (r.status == request_status::expired) {
     // route::cloud means the request DID appeal and the cloud's scheduler
     // shed it (deadline blown in its work queue) — count it apart from
     // edge-side expiry so deadline pressure on the link is visible.
-    if (r.taken == route::cloud) {
-      ++cloud_expired_;
-      metric_cloud_expired_.add(1);
-    } else {
-      ++expired_;
-      metric_expired_.add(1);
-    }
+    bump(r.taken == route::cloud ? kCloudExpired : kExpired);
     return;
   }
-  ++completed_;
-  metric_completed_.add(1);
+  bump(kCompleted);
+  bump(kQueueUs, to_us(r.queue_ms));
   switch (r.taken) {
     case route::edge:
-      ++edge_kept_;
-      metric_edge_.add(1);
+      bump(kEdge);
       break;
     case route::edge_degraded:
-      ++edge_degraded_;
-      metric_edge_.add(1);
+      bump(kEdge);
+      bump(kDegraded);
       break;
     case route::cloud:
-      ++appealed_;
-      metric_appealed_.add(1);
-      link_ms_sum_ += r.link_ms;
-      cloud_ms_sum_ += r.cloud_ms;
+      bump(kAppealed);
+      bump(kLinkUs, to_us(r.link_ms));
+      bump(kCloudUs, to_us(r.cloud_ms));
       if (labeled) {
-        ++cloud_labeled_;
-        if (correct) ++cloud_labeled_correct_;
+        bump(kCloudLabeled);
+        if (correct) bump(kCloudCorrect);
       }
       break;
   }
   if (labeled) {
-    ++labeled_;
-    if (correct) ++labeled_correct_;
+    bump(kLabeled);
+    if (correct) bump(kCorrect);
   }
-  queue_ms_sum_ += r.queue_ms;
-  if (r.latency_ms >= config_.latency_range_ms) ++overflow_;
-  latency_.add(r.latency_ms);
-  metric_latency_.observe(r.latency_ms);
+  latency_.observe(r.latency_ms);
+}
+
+serve_stats::readings serve_stats::read() const {
+  readings now{};
+  for (std::size_t i = 0; i < kCounters; ++i) now[i] = counters_[i]->value();
+  return now;
 }
 
 void serve_stats::reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  latency_ = util::histogram(0.0, config_.latency_range_ms,
-                             config_.latency_bins);
-  completed_ = 0;
-  edge_kept_ = 0;
-  edge_degraded_ = 0;
-  appealed_ = 0;
-  shed_ = 0;
-  expired_ = 0;
-  cloud_expired_ = 0;
-  overflow_ = 0;
-  labeled_ = 0;
-  labeled_correct_ = 0;
-  cloud_labeled_ = 0;
-  cloud_labeled_correct_ = 0;
-  queue_ms_sum_ = 0.0;
-  link_ms_sum_ = 0.0;
-  cloud_ms_sum_ = 0.0;
+  base_ = read();
+  latency_base_ = latency_.snapshot();
   clock_.reset();
 }
 
-double serve_stats::quantile_ms_locked(double q) const {
-  const auto& counts = latency_.counts();
-  const std::size_t total = latency_.total();
-  if (total == 0) return 0.0;
-  const double target = q * static_cast<double>(total);
-  double cumulative = 0.0;
-  for (std::size_t i = 0; i < counts.size(); ++i) {
-    cumulative += static_cast<double>(counts[i]);
-    if (cumulative >= target) return latency_.bin_center(i);
-  }
-  return latency_.bin_center(counts.size() - 1);
-}
-
 stats_snapshot serve_stats::snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
+  readings d = read();
+  for (std::size_t i = 0; i < kCounters; ++i) d[i] -= base_[i];
+  obs::histogram::snapshot_data latency = latency_.snapshot();
+  for (std::size_t i = 0; i < latency.counts.size(); ++i) {
+    latency.counts[i] -= latency_base_.counts[i];
+  }
+  latency.total -= latency_base_.total;
+  latency.overflow -= latency_base_.overflow;
+  latency.sum -= latency_base_.sum;
+
   stats_snapshot s;
-  s.completed = completed_;
-  s.edge_kept = edge_kept_;
-  s.edge_degraded = edge_degraded_;
-  s.appealed = appealed_;
-  s.shed = shed_;
-  s.expired = expired_;
-  s.cloud_expired = cloud_expired_;
-  s.overflow = overflow_;
-  s.labeled = labeled_;
-  s.labeled_correct = labeled_correct_;
-  s.cloud_labeled = cloud_labeled_;
-  s.cloud_labeled_correct = cloud_labeled_correct_;
-  s.submitted = completed_ + shed_ + expired_ + cloud_expired_;
+  s.completed = d[kCompleted];
+  // A snapshot taken mid-flight can read a degraded completion's second
+  // bump without its first; never let that wrap.
+  s.edge_degraded = d[kDegraded];
+  s.edge_kept = d[kEdge] > d[kDegraded] ? d[kEdge] - d[kDegraded] : 0;
+  s.appealed = d[kAppealed];
+  s.shed = d[kShed];
+  s.expired = d[kExpired];
+  s.cloud_expired = d[kCloudExpired];
+  s.overflow = latency.overflow;
+  s.labeled = d[kLabeled];
+  s.labeled_correct = d[kCorrect];
+  s.cloud_labeled = d[kCloudLabeled];
+  s.cloud_labeled_correct = d[kCloudCorrect];
+  s.submitted = s.completed + s.shed + s.expired + s.cloud_expired;
   s.elapsed_seconds = clock_.elapsed_seconds();
   if (s.elapsed_seconds > 0.0) {
-    s.throughput_rps = static_cast<double>(completed_) / s.elapsed_seconds;
+    s.throughput_rps = static_cast<double>(s.completed) / s.elapsed_seconds;
   }
-  if (completed_ > 0) {
-    s.achieved_sr = static_cast<double>(edge_kept_ + edge_degraded_) /
-                    static_cast<double>(completed_);
-    s.mean_queue_ms = queue_ms_sum_ / static_cast<double>(completed_);
-  }
-  if (s.submitted > 0) {
-    s.shed_rate = static_cast<double>(shed_ + expired_ + cloud_expired_) /
-                  static_cast<double>(s.submitted);
-  }
-  if (labeled_ > 0) {
-    s.online_accuracy =
-        static_cast<double>(labeled_correct_) / static_cast<double>(labeled_);
-  }
-  if (cloud_labeled_ > 0) {
-    s.cloud_accuracy = static_cast<double>(cloud_labeled_correct_) /
-                       static_cast<double>(cloud_labeled_);
-  }
-  if (appealed_ > 0) {
-    s.mean_link_ms = link_ms_sum_ / static_cast<double>(appealed_);
-    s.mean_cloud_ms = cloud_ms_sum_ / static_cast<double>(appealed_);
-  }
-  s.p50_ms = quantile_ms_locked(0.50);
-  s.p95_ms = quantile_ms_locked(0.95);
-  s.p99_ms = quantile_ms_locked(0.99);
+  s.achieved_sr = ratio(d[kEdge], d[kCompleted]);
+  s.mean_queue_ms = ratio(d[kQueueUs], d[kCompleted], 1e-3);
+  s.shed_rate = ratio(s.shed + s.expired + s.cloud_expired, s.submitted);
+  s.online_accuracy = ratio(d[kCorrect], d[kLabeled]);
+  s.cloud_accuracy = ratio(d[kCloudCorrect], d[kCloudLabeled]);
+  s.mean_link_ms = ratio(d[kLinkUs], d[kAppealed], 1e-3);
+  s.mean_cloud_ms = ratio(d[kCloudUs], d[kAppealed], 1e-3);
+  s.p50_ms = latency.quantile(0.50);
+  s.p95_ms = latency.quantile(0.95);
+  s.p99_ms = latency.quantile(0.99);
+
+  s.appeal_batches = d[kBatches];
+  s.appeals_on_wire = d[kAppeals];
+  s.mean_appeals_per_batch = ratio(d[kAppeals], d[kBatches]);
+  s.wire_bytes_tx = d[kTxBytes];
+  s.wire_bytes_rx = d[kRxBytes];
+  s.link_fallbacks = d[kFallbacks];
+  s.appeal_retries = d[kRetries];
+  s.appeal_overloaded = d[kOverloaded];
+  s.breaker_opens = d[kBreakerOpens];
+  s.breaker_state = static_cast<std::uint8_t>(breaker_.value());
+  s.split_appeals = d[kSplitAppeals];
+  s.split_bytes_saved = d[kSplitBytesSaved];
+  s.split_rejected = d[kSplitRejected];
+  s.split_cut = static_cast<std::uint32_t>(split_cut_.value());
   return s;
 }
 

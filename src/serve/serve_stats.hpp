@@ -1,28 +1,37 @@
-// Streaming serving metrics.
+// Serving statistics: a windowed view over the metrics registry.
 //
-// Thread-safe accumulator fed by edge workers, the cloud channel, and the
-// admission path at request completion. One serve_stats instance serves
-// as the aggregation point for a whole deployment: every engine shard
-// records into the deployment's shared instance, so the snapshot is the
-// per-deployment view the server reports. Latency quantiles come from a
-// fixed-bin util::histogram (constant memory, p50/p95/p99 read from the
-// bin CDF); completions beyond the histogram range are clamped into the
-// top bin *and* counted in `overflow`, so a too-small `latency_range_ms`
-// is visible instead of silently flattening p99. Throughput uses the
-// shared util::stopwatch; online accuracy counts only requests that
-// carried ground-truth labels (the collab::oracle protocol supplies them
-// in evaluation runs). Shed and expired requests never ran inference:
-// they are counted apart and excluded from latency, SR, and accuracy.
+// Every request, appeal, frame and byte a deployment serves is counted
+// once, into its instruments in an obs::metrics_registry — the store the
+// /metrics exporter renders. serve_stats is the deployment's view of
+// those instruments, not a second store: record() bumps the request
+// counters and the appeal_latency_ms histogram (wait-free, sharded), the
+// cloud channel and its transport bump the link's (link_metrics), and
+// snapshot() reports how far every one of them moved since the window
+// opened. The window opens at construction and at every reset() — which
+// records a baseline of each instrument, the latency bins included — so
+// an earlier owner of the same labels, or a warmup phase, never leaks
+// into a snapshot, while the exported counters stay monotonic as
+// Prometheus requires.
+//
+// Latency quantiles come from the histogram's bins (constant memory,
+// p50/p95/p99 read from the bin CDF); completions beyond its range are
+// clamped into the top bin *and* counted in `overflow`, so a too-small
+// `latency_range_ms` is visible instead of silently flattening p99.
+// Online accuracy counts only requests that carried ground-truth labels
+// (the collab::oracle protocol supplies them in evaluation runs). Shed
+// and expired requests never ran inference: they are counted apart and
+// excluded from latency, SR, and accuracy.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
+#include <memory>
 #include <string>
 
 #include "obs/metrics.hpp"
 #include "serve/request.hpp"
-#include "util/histogram.hpp"
+#include "serve/transport/cloud_transport.hpp"
 #include "util/timer.hpp"
 
 namespace appeal::serve {
@@ -30,15 +39,23 @@ namespace appeal::serve {
 struct serve_stats_config {
   double latency_range_ms = 500.0;  // histogram upper edge (overflow clamps)
   std::size_t latency_bins = 5000;  // 0.1 ms resolution at the default range
-  /// Value of the {deployment=...} label on this instance's instruments
-  /// in obs::default_registry() (appeal_requests_total and friends, the
-  /// appeal_latency_ms summary). Empty = unlabeled. Registry counters
-  /// are process-cumulative — reset() opens a new snapshot window but
-  /// never rewinds them (Prometheus counters are monotonic by contract).
+  /// Value of the {deployment=...} label on this deployment's request
+  /// instruments (appeal_requests_total and friends, the
+  /// appeal_latency_ms summary). Empty = unlabeled, in a registry of the
+  /// owner's own (see owner_registry()).
   std::string deployment;
 };
 
-/// Point-in-time view of the counters.
+/// The registry an owner — a deployment or a standalone engine — counts
+/// into: the process-wide obs::default_registry() when it has a
+/// deployment name to label its instruments with; otherwise `own`, built
+/// on first use, so two unnamed owners alive at once never merge counts
+/// (and have nothing to be exported under).
+obs::metrics_registry& owner_registry(
+    const std::string& deployment,
+    std::unique_ptr<obs::metrics_registry>& own);
+
+/// The deployment's counters over one window (see serve_stats).
 struct stats_snapshot {
   std::size_t completed = 0;     // requests that produced a prediction
   std::size_t edge_kept = 0;     // route::edge (score >= δ)
@@ -68,9 +85,8 @@ struct stats_snapshot {
   /// transports report it per response; 0 under the simulator).
   double mean_cloud_ms = 0.0;
 
-  // Cloud-link counters, overlaid from the deployment's cloud_channel at
-  // snapshot time (engine::snapshot / deployment::snapshot); a raw
-  // serve_stats::snapshot() leaves them zero.
+  // Cloud-link counters, read from the link's instruments (link_metrics)
+  // over the same window as everything else.
   std::size_t appeal_batches = 0;       // framed batches on the wire
   std::size_t appeals_on_wire = 0;      // appeals those batches carried
   double mean_appeals_per_batch = 0.0;  // coalescing factor
@@ -94,57 +110,57 @@ struct stats_snapshot {
 
 class serve_stats {
  public:
-  explicit serve_stats(const serve_stats_config& cfg = {});
+  /// Resolves the request instruments in `registry` under
+  /// {deployment=cfg.deployment} and views `link`'s alongside them. The
+  /// first window opens here.
+  serve_stats(const serve_stats_config& cfg, obs::metrics_registry& registry,
+              const link_metrics& link);
 
-  /// Records one finished request. Responses with a non-ok status are
+  /// Records one finished request: a few relaxed sharded fetch_adds and
+  /// one histogram observation. Responses with a non-ok status are
   /// counted as shed/expired and touch no other statistic; `correct` is
   /// ignored when the request carried no label.
   void record(const response& r, bool labeled, bool correct);
 
-  /// Clears every counter, the latency histogram, and the clock — used to
-  /// discard a warmup phase so a measurement window starts clean.
+  /// Opens a new window: records the current value of every instrument
+  /// and restarts the clock — used to discard a warmup phase. Call with
+  /// no requests in flight, from the thread that takes the snapshots.
   void reset();
 
+  /// The window since construction or the last reset().
   stats_snapshot snapshot() const;
 
   /// Multi-line human-readable rendering of a snapshot.
   static std::string render(const stats_snapshot& s);
 
+  /// The registry this deployment counts into (its engine shards label
+  /// their pipeline ledgers there too).
+  obs::metrics_registry& registry() const { return registry_; }
+
  private:
-  double quantile_ms_locked(double q) const;
+  /// The counters a window differences, indexing counters_ and base_:
+  /// the request counters, then the link's.
+  enum counter_id : std::size_t {
+    kSubmitted, kCompleted, kEdge, kDegraded, kAppealed, kShed, kExpired,
+    kCloudExpired, kLabeled, kCorrect, kCloudLabeled, kCloudCorrect,
+    kQueueUs, kLinkUs, kCloudUs,
+    kBatches, kAppeals, kTxBytes, kRxBytes, kFallbacks, kRetries,
+    kOverloaded, kBreakerOpens, kSplitAppeals, kSplitBytesSaved,
+    kSplitRejected, kCounters
+  };
+  using readings = std::array<std::uint64_t, kCounters>;
 
-  mutable std::mutex mutex_;
-  serve_stats_config config_;
+  void bump(counter_id id, std::uint64_t n = 1) { counters_[id]->add(n); }
+  readings read() const;
+
+  obs::metrics_registry& registry_;
+  std::array<obs::counter*, kCounters> counters_{};
+  obs::histogram& latency_;
+  obs::gauge& breaker_;
+  obs::gauge& split_cut_;
   util::stopwatch clock_;
-  util::histogram latency_;
-  std::size_t completed_ = 0;
-  std::size_t edge_kept_ = 0;
-  std::size_t edge_degraded_ = 0;
-  std::size_t appealed_ = 0;
-  std::size_t shed_ = 0;
-  std::size_t expired_ = 0;
-  std::size_t cloud_expired_ = 0;
-  std::size_t overflow_ = 0;
-  std::size_t labeled_ = 0;
-  std::size_t labeled_correct_ = 0;
-  std::size_t cloud_labeled_ = 0;
-  std::size_t cloud_labeled_correct_ = 0;
-  double queue_ms_sum_ = 0.0;
-  double link_ms_sum_ = 0.0;
-  double cloud_ms_sum_ = 0.0;
-
-  /// obs::default_registry() instruments mirroring the counters above,
-  /// labeled {deployment=config_.deployment}. Resolved once here; record()
-  /// bumps them wait-free outside this instance's mutex semantics (the
-  /// registry shards internally).
-  obs::counter& metric_submitted_;
-  obs::counter& metric_completed_;
-  obs::counter& metric_edge_;
-  obs::counter& metric_appealed_;
-  obs::counter& metric_shed_;
-  obs::counter& metric_expired_;
-  obs::counter& metric_cloud_expired_;
-  obs::histogram& metric_latency_;
+  readings base_{};
+  obs::histogram::snapshot_data latency_base_;
 };
 
 }  // namespace appeal::serve

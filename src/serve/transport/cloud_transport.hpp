@@ -16,7 +16,10 @@
 // appeals pile up and coalesce. Completions arrive on a transport-owned
 // thread. on_failure fires at most once, when the link dies with appeals
 // possibly outstanding; the channel then answers locally (the edge owns a
-// fallback cloud_backend either way).
+// fallback cloud_backend either way). A transport counts the bytes it
+// moves into the link's registry instruments (link_metrics) at the point
+// they move: a frame once it is written, response bytes once they are
+// read.
 #pragma once
 
 #include <cstddef>
@@ -26,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "serve/request.hpp"
 #include "serve/split.hpp"
 
@@ -102,20 +106,29 @@ struct link_config {
   split_config split;
 };
 
-/// Wire-level counters every transport keeps (the simulator reports the
-/// bytes a real link would have carried, so sim and socket runs are
-/// comparable).
-struct transport_counters {
-  std::size_t batches_sent = 0;
-  std::size_t appeals_sent = 0;
-  std::size_t bytes_sent = 0;
-  std::size_t bytes_received = 0;
+/// The instruments of one cloud link, in the registry its owner counts
+/// into: {link=name} for the wire and the breaker, {deployment=name} for
+/// the split path (a channel is named after its deployment). Each is
+/// bumped once, where its event happens — the wire counters by the
+/// transport that moved the bytes (the simulator counts the bytes a real
+/// link would have carried, so sim and socket runs are comparable), the
+/// rest by the cloud_channel. Copies share the instruments.
+struct link_metrics {
+  link_metrics(obs::metrics_registry& registry, const std::string& name);
 
-  double mean_appeals_per_batch() const {
-    return batches_sent == 0 ? 0.0
-                             : static_cast<double>(appeals_sent) /
-                                   static_cast<double>(batches_sent);
-  }
+  obs::counter& batches;            // appeal frames written
+  obs::counter& appeals;            // appeals those frames carried
+  obs::counter& tx_bytes;           // appeal frame bytes written
+  obs::counter& rx_bytes;           // response frame bytes read
+  obs::counter& fallbacks;          // appeals answered by the local backend
+  obs::counter& retries;            // overloaded appeals re-sent
+  obs::counter& overloaded;         // overloaded answers received
+  obs::counter& breaker_opens;      // breaker closed -> open transitions
+  obs::gauge& breaker;              // 0 closed / 1 open / 2 half-open
+  obs::counter& split_appeals;      // appeals shipped as feature maps
+  obs::counter& split_bytes_saved;  // uplink bytes saved vs raw input
+  obs::counter& split_rejected;     // split appeals the cloud rejected
+  obs::gauge& split_cut;            // active cut id (0 = raw input)
 };
 
 class cloud_transport {
@@ -126,22 +139,22 @@ class cloud_transport {
     /// Cloud-side cost: work-queue wait + batch scoring time as the stub
     /// measured it (0 for the simulator, whose cloud time is modeled).
     double cloud_ms = 0.0;
-    /// The cloud_ms total split into queue wait and batched scoring
-    /// (wire v3; zero from a v2 peer or the simulator). Cloud-stamped
-    /// durations — trace spans use them without cross-clock sync.
+    /// The cloud_ms total split into queue wait and batched scoring (zero
+    /// from the simulator). Cloud-stamped durations — trace spans use
+    /// them without cross-clock sync.
     double cloud_queue_ms = 0.0;
     double cloud_score_ms = 0.0;
     /// The cloud shed this appeal because its deadline was already blown
     /// when a scorer worker reached it.
     bool expired = false;
-    /// The cloud refused this appeal without scoring (wire v4: full work
-    /// queue or projected deadline miss); the channel retries it after
+    /// The cloud refused this appeal without scoring (full work queue or
+    /// projected deadline miss); the channel retries it after
     /// retry_after_ms or completes it locally.
     bool overloaded = false;
     double retry_after_ms = 0.0;
-    /// The cloud could not score this appeal as sent (wire v5: unknown
-    /// split cut id or a feature shape that matches no cut). The channel
-    /// completes it locally and stops shipping that cut.
+    /// The cloud could not score this appeal as sent (unknown split cut
+    /// id or a feature shape that matches no cut). The channel completes
+    /// it locally and stops shipping that cut.
     bool rejected = false;
   };
   using completion_sink = std::function<void(std::vector<completion>&&)>;
@@ -156,22 +169,23 @@ class cloud_transport {
   /// and carries the channel-assigned demux ids. The requests stay owned
   /// by the caller's in-flight table (registered before the send, so a
   /// completion racing back mid-send always finds its entry). May block
-  /// while the link is busy. Throws util::error when the link is down
-  /// (the caller falls back to local completion).
-  virtual void send_batch(const std::vector<const request*>& batch,
-                          const std::vector<std::uint64_t>& wire_ids,
-                          const std::string& model) = 0;
+  /// while the link is busy. Returns the bytes put on the wire (0 when a
+  /// fault decorator dropped the frame). Throws util::error when the link
+  /// is down (the caller falls back to local completion); a failed send
+  /// counts nothing.
+  virtual std::size_t send_batch(const std::vector<const request*>& batch,
+                                 const std::vector<std::uint64_t>& wire_ids,
+                                 const std::string& model) = 0;
 
   /// Stops delivering completions and joins transport threads. Idempotent.
   virtual void stop() = 0;
-
-  virtual transport_counters counters() const = 0;
 };
 
-/// Builds the transport `cfg` names. `fallback` is the local cloud
-/// backend (the simulator scores with it; socket transports only use it
-/// indirectly, via the channel's failure path). The cost model drives the
-/// simulator's timing and is ignored by socket transports.
+/// Builds the transport `cfg` names, counting into `metrics`. `fallback`
+/// is the local cloud backend (the simulator scores with it; socket
+/// transports only use it indirectly, via the channel's failure path).
+/// The cost model drives the simulator's timing and is ignored by socket
+/// transports.
 ///
 /// `fault_salt` deterministically re-seeds the fault decorator per link
 /// incarnation (the channel passes its reconnect epoch). Without it a
@@ -181,6 +195,7 @@ class cloud_transport {
 /// forever. Salt 0 (the first link) keeps the user's seed untouched.
 std::unique_ptr<cloud_transport> make_cloud_transport(
     const link_config& cfg, cloud_backend& fallback,
-    const collab::cost_model& link, std::uint64_t fault_salt = 0);
+    const collab::cost_model& link, const link_metrics& metrics,
+    std::uint64_t fault_salt = 0);
 
 }  // namespace appeal::serve

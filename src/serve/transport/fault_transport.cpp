@@ -107,9 +107,9 @@ void fault_transport::start(completion_sink on_complete,
       std::move(on_failure));
 }
 
-void fault_transport::send_batch(const std::vector<const request*>& batch,
-                                 const std::vector<std::uint64_t>& wire_ids,
-                                 const std::string& model) {
+std::size_t fault_transport::send_batch(
+    const std::vector<const request*>& batch,
+    const std::vector<std::uint64_t>& wire_ids, const std::string& model) {
   std::size_t frame;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -144,7 +144,7 @@ void fault_transport::send_batch(const std::vector<const request*>& batch,
   if (config_.drop > 0.0 && send_rng_.bernoulli(config_.drop)) {
     std::lock_guard<std::mutex> lock(mutex_);
     faults_.dropped += 1;
-    return;  // the frame vanishes; the watchdog owns the fallout
+    return 0;  // the frame vanishes; the watchdog owns the fallout
   }
   if (config_.trunc > 0.0 && batch.size() > 1 &&
       send_rng_.bernoulli(config_.trunc)) {
@@ -157,17 +157,13 @@ void fault_transport::send_batch(const std::vector<const request*>& batch,
                                            batch.begin() + keep);
     const std::vector<std::uint64_t> head_ids(wire_ids.begin(),
                                               wire_ids.begin() + keep);
-    inner_->send_batch(head, head_ids, model);
-    return;  // the tail goes unanswered, like a frame torn mid-flight
+    // The tail goes unanswered, like a frame torn mid-flight.
+    return inner_->send_batch(head, head_ids, model);
   }
-  inner_->send_batch(batch, wire_ids, model);
+  return inner_->send_batch(batch, wire_ids, model);
 }
 
 void fault_transport::stop() { inner_->stop(); }
-
-transport_counters fault_transport::counters() const {
-  return inner_->counters();
-}
 
 fault_counters fault_transport::faults() const {
   std::lock_guard<std::mutex> lock(mutex_);

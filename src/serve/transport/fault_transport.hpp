@@ -64,11 +64,10 @@ class fault_transport : public cloud_transport {
   ~fault_transport() override;
 
   void start(completion_sink on_complete, failure_sink on_failure) override;
-  void send_batch(const std::vector<const request*>& batch,
-                  const std::vector<std::uint64_t>& wire_ids,
-                  const std::string& model) override;
+  std::size_t send_batch(const std::vector<const request*>& batch,
+                         const std::vector<std::uint64_t>& wire_ids,
+                         const std::string& model) override;
   void stop() override;
-  transport_counters counters() const override;
 
   fault_counters faults() const;
 

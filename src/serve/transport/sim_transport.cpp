@@ -18,14 +18,15 @@ clock::duration scaled_ms(double ms, double scale) {
 
 sim_transport::sim_transport(cloud_backend& backend,
                              const collab::cost_model& link,
-                             double time_scale)
+                             double time_scale, link_metrics metrics)
     : backend_(backend),
       comm_ms_per_kb_(link.comm_ms_per_kb),
       // Propagation + cloud compute = the cost model's offload latency
       // minus the transmit share (L(0) - L(1) is the full offload term).
       overlap_ms_(link.overall_latency_ms(0.0) - link.overall_latency_ms(1.0) -
                   link.input_kb * link.comm_ms_per_kb),
-      time_scale_(time_scale) {
+      time_scale_(time_scale),
+      metrics_(metrics) {
   APPEAL_CHECK(time_scale_ >= 0.0, "time_scale must be non-negative");
   link_free_at_ = clock::now();
 }
@@ -40,9 +41,9 @@ void sim_transport::start(completion_sink on_complete, failure_sink) {
   timer_ = std::thread([this] { run(); });
 }
 
-void sim_transport::send_batch(const std::vector<const request*>& batch,
-                               const std::vector<std::uint64_t>& wire_ids,
-                               const std::string& model) {
+std::size_t sim_transport::send_batch(
+    const std::vector<const request*>& batch,
+    const std::vector<std::uint64_t>& wire_ids, const std::string& model) {
   APPEAL_CHECK(started_, "send_batch before start()");
   APPEAL_CHECK(batch.size() == wire_ids.size(),
                "one wire id per appeal required");
@@ -56,15 +57,8 @@ void sim_transport::send_batch(const std::vector<const request*>& batch,
 
   std::size_t bytes = wire::kHeaderBytes;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    wire::appeal_view v;
-    v.id = wire_ids[i];
-    v.key = batch[i]->key;
-    v.label = batch[i]->label;
-    v.split_cut = batch[i]->split_cut;
-    v.feature = &batch[i]->feature;
-    v.model = model;
-    v.input = &batch[i]->input;
-    bytes += wire::appeal_wire_bytes(v);
+    bytes +=
+        wire::appeal_wire_bytes(wire::view_of(*batch[i], wire_ids[i], model));
   }
   const clock::time_point send_end =
       send_start + scaled_ms(
@@ -83,14 +77,19 @@ void sim_transport::send_batch(const std::vector<const request*>& batch,
     s.batch.push_back(completion{wire_ids[i], backend_.infer(*batch[i])});
   }
 
-  std::lock_guard<std::mutex> lock(mutex_);
-  counters_.batches_sent += 1;
-  counters_.appeals_sent += batch.size();
-  counters_.bytes_sent += bytes;
-  counters_.bytes_received +=
-      wire::kHeaderBytes + wire::kResponseRecordBytes * batch.size();
-  pending_.push(std::move(s));
+  // Counted before the completions are scheduled, so no answer can
+  // overtake its own frame's bytes.
+  metrics_.batches.add(1);
+  metrics_.appeals.add(batch.size());
+  metrics_.tx_bytes.add(bytes);
+  metrics_.rx_bytes.add(wire::kHeaderBytes +
+                        wire::kResponseRecordBytes * batch.size());
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    pending_.push(std::move(s));
+  }
   wake_.notify_all();
+  return bytes;
 }
 
 void sim_transport::stop() {
@@ -101,11 +100,6 @@ void sim_transport::stop() {
   }
   wake_.notify_all();
   if (timer_.joinable()) timer_.join();
-}
-
-transport_counters sim_transport::counters() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return counters_;
 }
 
 void sim_transport::run() {

@@ -15,8 +15,9 @@
 // inline on the sending thread (off every lock). `time_scale` scales all
 // delays; 0 turns the simulator into an immediate echo for unit tests.
 //
-// Byte counters report what the wire encoding of each batch would have
-// occupied, so sim and socket runs expose comparable link statistics.
+// The wire counters (link_metrics) report what the encoding of each batch
+// would have occupied, so sim and socket runs expose comparable link
+// statistics.
 #pragma once
 
 #include <condition_variable>
@@ -33,15 +34,14 @@ namespace appeal::serve {
 class sim_transport : public cloud_transport {
  public:
   sim_transport(cloud_backend& backend, const collab::cost_model& link,
-                double time_scale);
+                double time_scale, link_metrics metrics);
   ~sim_transport() override;
 
   void start(completion_sink on_complete, failure_sink on_failure) override;
-  void send_batch(const std::vector<const request*>& batch,
-                  const std::vector<std::uint64_t>& wire_ids,
-                  const std::string& model) override;
+  std::size_t send_batch(const std::vector<const request*>& batch,
+                         const std::vector<std::uint64_t>& wire_ids,
+                         const std::string& model) override;
   void stop() override;
-  transport_counters counters() const override;
 
  private:
   struct scheduled {
@@ -55,17 +55,17 @@ class sim_transport : public cloud_transport {
   double comm_ms_per_kb_;  // uplink cost per encoded KiB (serialized)
   double overlap_ms_;      // propagation + cloud compute (pipelined)
   double time_scale_;
+  link_metrics metrics_;
   completion_sink on_complete_;
 
   // Owned by the single send_batch caller; no lock needed.
   std::chrono::steady_clock::time_point link_free_at_;
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable wake_;
   // Due times are FIFO (constant overlap on a monotone transmit end), so
   // a plain queue is a valid timer wheel.
   std::queue<scheduled> pending_;
-  transport_counters counters_;
   bool stopping_ = false;
   bool started_ = false;
   std::thread timer_;

@@ -1,33 +1,16 @@
 #include "serve/transport/socket_transport.hpp"
 
-#include <chrono>
-
 #include "util/error.hpp"
 #include "util/logging.hpp"
 
 namespace appeal::serve {
 
-namespace {
-
-using clock = std::chrono::steady_clock;
-
-double remaining_deadline_ms(const request& r) {
-  if (r.deadline == request::no_deadline) return -1.0;
-  const double remaining =
-      std::chrono::duration<double, std::milli>(r.deadline - clock::now())
-          .count();
-  // A deadline already blown at send time must stay a deadline on the
-  // wire: negative values mean "none" there, so clamp to an immediately
-  // expiring budget instead (the stub sheds it as `expired`).
-  return remaining > 0.0 ? remaining : 0.0;
-}
-
-}  // namespace
-
 socket_transport::socket_transport(transport_kind kind, std::string endpoint,
+                                   link_metrics metrics,
                                    double send_timeout_ms)
     : kind_(kind),
       endpoint_(std::move(endpoint)),
+      metrics_(metrics),
       send_timeout_ms_(send_timeout_ms) {
   APPEAL_CHECK(kind_ == transport_kind::uds || kind_ == transport_kind::tcp,
                "socket_transport kind must be uds or tcp");
@@ -50,9 +33,9 @@ void socket_transport::start(completion_sink on_complete,
   reader_ = std::thread([this] { reader_loop(); });
 }
 
-void socket_transport::send_batch(const std::vector<const request*>& batch,
-                                  const std::vector<std::uint64_t>& wire_ids,
-                                  const std::string& model) {
+std::size_t socket_transport::send_batch(
+    const std::vector<const request*>& batch,
+    const std::vector<std::uint64_t>& wire_ids, const std::string& model) {
   APPEAL_CHECK(reader_.joinable(), "send_batch before start()");
   APPEAL_CHECK(batch.size() == wire_ids.size(),
                "one wire id per appeal required");
@@ -62,41 +45,22 @@ void socket_transport::send_batch(const std::vector<const request*>& batch,
   std::vector<wire::appeal_view> views;
   views.reserve(batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    wire::appeal_view v;
-    v.id = wire_ids[i];
-    v.key = batch[i]->key;
-    v.label = batch[i]->label;
-    v.priority = batch[i]->priority;
-    v.deadline_ms = remaining_deadline_ms(*batch[i]);
-    v.trace_id = batch[i]->trace != nullptr ? batch[i]->trace->trace_id : 0;
-    // Split appeals ship the precomputed feature map; the encoder falls
-    // back to the raw input whenever the feature is absent (or the wire
-    // version predates v5), so the view always carries both.
-    v.split_cut = batch[i]->split_cut;
-    v.feature = &batch[i]->feature;
-    v.model = model;
-    v.input = &batch[i]->input;
-    views.push_back(v);
+    views.push_back(wire::view_of(*batch[i], wire_ids[i], model));
   }
   const std::vector<std::uint8_t> framed = wire::encode_appeal_batch(views);
-  {
-    // Count before writing: a completion can race back (and a drain()er
-    // snapshot the counters) before write_all even returns.
-    std::lock_guard<std::mutex> lock(mutex_);
-    counters_.batches_sent += 1;
-    counters_.appeals_sent += batch.size();
-    counters_.bytes_sent += framed.size();
-  }
   try {
     net::write_all(socket_, framed.data(), framed.size());
   } catch (const util::error&) {
     link_down_.store(true, std::memory_order_release);
-    std::lock_guard<std::mutex> lock(mutex_);
-    counters_.batches_sent -= 1;
-    counters_.appeals_sent -= batch.size();
-    counters_.bytes_sent -= framed.size();
     throw;
   }
+  // Counted once the frame is on the socket. A completion may race back
+  // before these land; cloud_channel::drain() waits out the send, so a
+  // drained snapshot still sees them.
+  metrics_.batches.add(1);
+  metrics_.appeals.add(batch.size());
+  metrics_.tx_bytes.add(framed.size());
+  return framed.size();
 }
 
 void socket_transport::stop() {
@@ -106,21 +70,13 @@ void socket_transport::stop() {
   socket_.reset();
 }
 
-transport_counters socket_transport::counters() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return counters_;
-}
-
 void socket_transport::reader_loop() {
   wire::frame_splitter splitter;
   std::uint8_t chunk[64 * 1024];
   for (;;) {
     const std::size_t n = net::read_some(socket_, chunk, sizeof(chunk));
     if (n == 0) break;  // EOF, peer reset, or local shutdown
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      counters_.bytes_received += n;
-    }
+    metrics_.rx_bytes.add(n);
     try {
       splitter.feed(chunk, n);
       while (std::optional<wire::frame> f = splitter.next()) {

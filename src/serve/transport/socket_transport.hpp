@@ -7,7 +7,9 @@
 // the link is saturated. A reader thread assembles response frames with
 // a wire::frame_splitter and hands completions to the channel's sink;
 // the server may batch, split, or reorder responses freely because the
-// demux key is the per-appeal wire id.
+// demux key is the per-appeal wire id. A frame counts into the link's
+// wire instruments only once write_all has put all of it on the socket;
+// response bytes count as the reader receives them.
 //
 // Failure model: a dead peer surfaces as a send_batch throw (caller
 // falls back) or as the reader hitting EOF mid-run, which fires
@@ -17,12 +19,11 @@
 #pragma once
 
 #include <atomic>
-#include <mutex>
 #include <thread>
 
 #include "serve/transport/cloud_transport.hpp"
-#include "serve/transport/socket_util.hpp"
 #include "serve/transport/wire.hpp"
+#include "util/net.hpp"
 
 namespace appeal::serve {
 
@@ -32,21 +33,21 @@ class socket_transport : public cloud_transport {
   /// `send_timeout_ms` bounds a blocking write against a stalled peer
   /// (0 = fully blocking).
   socket_transport(transport_kind kind, std::string endpoint,
-                   double send_timeout_ms = 0.0);
+                   link_metrics metrics, double send_timeout_ms = 0.0);
   ~socket_transport() override;
 
   void start(completion_sink on_complete, failure_sink on_failure) override;
-  void send_batch(const std::vector<const request*>& batch,
-                  const std::vector<std::uint64_t>& wire_ids,
-                  const std::string& model) override;
+  std::size_t send_batch(const std::vector<const request*>& batch,
+                         const std::vector<std::uint64_t>& wire_ids,
+                         const std::string& model) override;
   void stop() override;
-  transport_counters counters() const override;
 
  private:
   void reader_loop();
 
   transport_kind kind_;
   std::string endpoint_;
+  link_metrics metrics_;
   double send_timeout_ms_;
   completion_sink on_complete_;
   failure_sink on_failure_;
@@ -55,9 +56,6 @@ class socket_transport : public cloud_transport {
   std::thread reader_;
   std::atomic<bool> stopping_{false};
   std::atomic<bool> link_down_{false};
-
-  mutable std::mutex mutex_;  // counters only
-  transport_counters counters_;
 };
 
 }  // namespace appeal::serve

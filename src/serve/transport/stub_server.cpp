@@ -148,6 +148,35 @@ double cloud_work_queue::estimated_wait_ms() const {
 
 // --- stub_server -----------------------------------------------------------
 
+stub_metrics::stub_metrics(obs::metrics_registry& registry)
+    : connections(registry.get_counter("appeal_cloud_connections_total", {},
+                                       "client connections accepted")),
+      batches(registry.get_counter("appeal_cloud_frames_total", {},
+                                   "appeal frames received")),
+      appeals(registry.get_counter("appeal_cloud_appeals_total", {},
+                                   "appeals received by the cloud stub")),
+      scored(registry.get_counter("appeal_cloud_scored_total", {},
+                                  "appeals answered with a prediction")),
+      expired(registry.get_counter(
+          "appeal_cloud_expired_total", {},
+          "appeals shed because their deadline was blown in the queue")),
+      overloaded(registry.get_counter(
+          "appeal_cloud_overloaded_total", {},
+          "appeals shed at admission to a full work queue")),
+      projected(registry.get_counter(
+          "appeal_cloud_projected_total", {},
+          "appeals shed at admission because the queue wait alone would "
+          "blow their deadline")),
+      cloud_batches(registry.get_counter("appeal_cloud_batches_total", {},
+                                         "batches the scorer workers formed")),
+      rx_bytes(registry.get_counter("appeal_cloud_rx_bytes_total", {},
+                                    "appeal bytes read from clients")),
+      tx_bytes(registry.get_counter("appeal_cloud_tx_bytes_total", {},
+                                    "response bytes written to clients")),
+      queue_depth(registry.get_gauge(
+          "appeal_cloud_queue_depth", {},
+          "appeals waiting in the cloud work queue")) {}
+
 namespace {
 
 /// Validates at construction (not first use) and adapts a per-appeal
@@ -173,26 +202,8 @@ stub_server::stub_server(const stub_server_config& cfg, scorer_fn scorer)
 
 stub_server::stub_server(const stub_server_config& cfg, scorer_factory factory)
     : config_(cfg),
-      scorer_factory_(std::move(factory)),
-      metric_appeals_(obs::default_registry().get_counter(
-          "appeal_cloud_appeals_total", {},
-          "appeals received by the cloud stub")),
-      metric_scored_(obs::default_registry().get_counter(
-          "appeal_cloud_scored_total", {},
-          "appeals answered with a prediction")),
-      metric_expired_(obs::default_registry().get_counter(
-          "appeal_cloud_expired_total", {},
-          "appeals shed because their deadline was blown in the queue")),
-      metric_overloaded_(obs::default_registry().get_counter(
-          "appeal_cloud_overloaded_total", {},
-          "appeals shed at admission to a full work queue")),
-      metric_projected_(obs::default_registry().get_counter(
-          "appeal_cloud_projected_total", {},
-          "appeals shed at admission because the queue wait alone would "
-          "blow their deadline")),
-      metric_queue_depth_(obs::default_registry().get_gauge(
-          "appeal_cloud_queue_depth", {},
-          "appeals waiting in the cloud work queue")) {
+      metrics_(registry_),
+      scorer_factory_(std::move(factory)) {
   APPEAL_CHECK(config_.kind == transport_kind::uds ||
                    config_.kind == transport_kind::tcp,
                "stub_server listens on uds or tcp");
@@ -262,11 +273,6 @@ std::uint16_t stub_server::tcp_port() const {
   return net::local_tcp_port(listener_);
 }
 
-stub_server_counters stub_server::counters() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return counters_;
-}
-
 void stub_server::reap_finished_connections() {
   std::vector<std::shared_ptr<connection>> finished;
   {
@@ -303,9 +309,9 @@ void stub_server::accept_loop() {
     // not-yet-assigned `thread` member is never observed concurrently.)
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      counters_.connections += 1;
       connections_.emplace(c->id, c);
     }
+    metrics_.connections.add(1);
     connection* raw = c.get();
     c->thread = std::thread([this, raw] { serve_connection(*raw); });
   }
@@ -319,20 +325,14 @@ void stub_server::serve_connection(connection& conn) {
     for (;;) {
       const std::size_t n = net::read_some(socket, chunk, sizeof(chunk));
       if (n == 0) break;  // client done (or stop())
+      metrics_.rx_bytes.add(n);
       splitter.feed(chunk, n);
-      std::size_t batches = 0;
-      std::size_t appeals = 0;
-      std::size_t full_sheds = 0;
-      std::size_t projected_sheds = 0;
       std::vector<wire::response_record> shed;
       while (std::optional<wire::frame> f = splitter.next()) {
         std::vector<wire::appeal_record> batch =
             wire::decode_appeal_batch(*f);
-        // Remember the dialect the peer speaks; responses (from any
-        // worker) go back at the same version.
-        conn.wire_version.store(f->version, std::memory_order_relaxed);
-        batches += 1;
-        appeals += batch.size();
+        metrics_.batches.add(1);
+        metrics_.appeals.add(batch.size());
         for (wire::appeal_record& a : batch) {
           const std::uint64_t id = a.id;
           const cloud_work_queue::admit verdict =
@@ -343,31 +343,19 @@ void stub_server::serve_connection(connection& conn) {
           // not expiry: the appeal never waited, so answer `overloaded`
           // with a retry-after hint sized to the current backlog and let
           // the edge decide between retrying and its local fallback.
-          // (Peers at wire v2/v3 can't express `overloaded`; the encoder
-          // downgrades it to `expired` for them.)
           wire::response_record r;
           r.id = id;
           r.status = wire::response_status::overloaded;
           r.retry_after_ms = std::max(1.0, queue_.estimated_wait_ms());
           shed.push_back(r);
-          if (verdict == cloud_work_queue::admit::projected_miss) {
-            ++projected_sheds;
-          } else {
-            ++full_sheds;
-          }
+          (verdict == cloud_work_queue::admit::projected_miss
+               ? metrics_.projected
+               : metrics_.overloaded)
+              .add(1);
         }
       }
       if (!shed.empty()) write_responses(conn.id, shed);
-      metric_appeals_.add(appeals);
-      metric_overloaded_.add(full_sheds);
-      metric_projected_.add(projected_sheds);
-      metric_queue_depth_.set(static_cast<double>(queue_.size()));
-      std::lock_guard<std::mutex> lock(mutex_);
-      counters_.bytes_received += n;
-      counters_.batches += batches;
-      counters_.appeals += appeals;
-      counters_.overloaded += full_sheds;
-      counters_.projected += projected_sheds;
+      metrics_.queue_depth.set(static_cast<double>(queue_.size()));
     }
   } catch (const util::error& e) {
     // Corrupt stream or dead client: drop the connection, keep serving
@@ -456,7 +444,7 @@ void stub_server::scorer_loop(const batch_scorer_fn& score) {
         }
         // Queue wait + scoring: what this appeal actually cost cloud-side
         // (the whole batch's scoring time is charged to each member — it
-        // waited for the batch either way). The v3 split lets the edge
+        // waited for the batch either way). The split lets the edge
         // attribute the two separately in its trace spans.
         r.cloud_ms = ms_between(live[i]->enqueued, scored_at);
         r.cloud_queue_ms = ms_between(live[i]->enqueued, popped_at);
@@ -468,13 +456,10 @@ void stub_server::scorer_loop(const batch_scorer_fn& score) {
     for (const auto& [owner, responses] : routed) {
       write_responses(owner, responses);
     }
-    metric_scored_.add(live.size());
-    metric_expired_.add(expired);
-    metric_queue_depth_.set(static_cast<double>(queue_.size()));
-    std::lock_guard<std::mutex> lock(mutex_);
-    counters_.cloud_batches += 1;
-    counters_.scored += live.size();
-    counters_.expired += expired;
+    metrics_.cloud_batches.add(1);
+    metrics_.scored.add(live.size());
+    metrics_.expired.add(expired);
+    metrics_.queue_depth.set(static_cast<double>(queue_.size()));
   }
 }
 
@@ -487,16 +472,15 @@ void stub_server::write_responses(
     if (it != connections_.end()) conn = it->second;
   }
   if (conn == nullptr) return;  // client gone; nobody is listening
-  const std::vector<std::uint8_t> framed = wire::encode_response_batch(
-      responses, conn->wire_version.load(std::memory_order_relaxed));
+  const std::vector<std::uint8_t> framed =
+      wire::encode_response_batch(responses);
   try {
     std::lock_guard<std::mutex> write_lock(conn->write_mutex);
     net::write_all(conn->socket, framed.data(), framed.size());
   } catch (const util::error&) {
     return;  // client hung up mid-write; its reader thread cleans up
   }
-  std::lock_guard<std::mutex> lock(mutex_);
-  counters_.bytes_sent += framed.size();
+  metrics_.tx_bytes.add(framed.size());
 }
 
 }  // namespace appeal::serve

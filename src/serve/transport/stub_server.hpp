@@ -23,7 +23,7 @@
 // (max_queue_depth, with a separate batch-lane budget so background
 // traffic cannot starve interactive appeals of queue space): when appeals
 // outrun the scorer pool, arrivals shed at admission with an immediate
-// `overloaded` response (wire v4) carrying a retry-after hint derived
+// `overloaded` response carrying a retry-after hint derived
 // from the queue's own drain-rate estimate — distinct from `expired`,
 // which means a deadline died *inside* the queue. The same drain-rate
 // estimate powers projected-deadline-miss shedding: an arrival whose
@@ -35,6 +35,11 @@
 // their own scorer instance via the factory — network forwards use
 // thread-local workspaces but are not otherwise synchronized, exactly
 // like the engine's per-worker edge backends.
+//
+// Every count the stub keeps lives in a metrics registry the stub owns
+// (stub_metrics), bumped once where its event happens; tools/cloud_stub
+// serves that registry on --metrics. Two stubs in one process therefore
+// never mix their counts.
 #pragma once
 
 #include <atomic>
@@ -52,8 +57,8 @@
 
 #include "obs/metrics.hpp"
 #include "serve/transport/cloud_transport.hpp"
-#include "serve/transport/socket_util.hpp"
 #include "serve/transport/wire.hpp"
+#include "util/net.hpp"
 
 namespace appeal::serve {
 
@@ -88,17 +93,23 @@ struct stub_server_config {
   bool shed_projected = true;
 };
 
-struct stub_server_counters {
-  std::size_t connections = 0;
-  std::size_t batches = 0;        // appeal frames received
-  std::size_t appeals = 0;        // appeals received
-  std::size_t scored = 0;         // appeals answered with a prediction
-  std::size_t expired = 0;        // appeals shed (deadline blown in queue)
-  std::size_t overloaded = 0;     // appeals shed at the full work queue
-  std::size_t projected = 0;      // appeals shed on a projected deadline miss
-  std::size_t cloud_batches = 0;  // batches formed by the scorer workers
-  std::size_t bytes_received = 0;
-  std::size_t bytes_sent = 0;
+/// The stub's instruments (appeal_cloud_*, unlabeled) in the registry it
+/// owns. Every decoded appeal resolves as exactly one of scored, expired,
+/// overloaded or projected.
+struct stub_metrics {
+  explicit stub_metrics(obs::metrics_registry& registry);
+
+  obs::counter& connections;    // client connections accepted
+  obs::counter& batches;        // appeal frames received
+  obs::counter& appeals;        // appeals received
+  obs::counter& scored;         // appeals answered with a prediction
+  obs::counter& expired;        // appeals shed (deadline blown in queue)
+  obs::counter& overloaded;     // appeals shed at the full work queue
+  obs::counter& projected;      // appeals shed on a projected deadline miss
+  obs::counter& cloud_batches;  // batches formed by the scorer workers
+  obs::counter& rx_bytes;       // appeal bytes read
+  obs::counter& tx_bytes;       // response bytes written
+  obs::gauge& queue_depth;      // appeals waiting in the work queue
 };
 
 /// Deadline/priority-ordered queue between connection threads and the
@@ -242,7 +253,9 @@ class stub_server {
   /// Actual TCP port after start() (meaningful for tcp endpoints only).
   std::uint16_t tcp_port() const;
 
-  stub_server_counters counters() const;
+  /// The registry holding every count this stub keeps.
+  obs::metrics_registry& registry() { return registry_; }
+  const stub_metrics& metrics() const { return metrics_; }
 
  private:
   struct connection {
@@ -251,17 +264,13 @@ class stub_server {
     std::thread thread;
     std::mutex write_mutex;  // response frames from multiple workers
     std::atomic<bool> done{false};
-    /// Highest wire version this peer has spoken (from its appeal frame
-    /// headers). Responses go out at the same version, so a v2 edge
-    /// never sees v3 response fields.
-    std::atomic<std::uint8_t> wire_version{wire::kVersionV2};
   };
 
   void accept_loop();
   void serve_connection(connection& conn);
   void scorer_loop(const batch_scorer_fn& score);
   /// Frames and writes one response batch to `owner`'s connection (if it
-  /// is still alive); accounts bytes_sent. Write errors drop the
+  /// is still alive); counts tx_bytes once written. Write errors drop the
   /// responses — the client is gone and its channel falls back locally.
   void write_responses(std::uint64_t owner,
                        const std::vector<wire::response_record>& responses);
@@ -271,6 +280,8 @@ class stub_server {
   void reap_finished_connections();
 
   stub_server_config config_;  // declared before queue_ (capacity source)
+  obs::metrics_registry registry_;
+  stub_metrics metrics_;
   scorer_factory scorer_factory_;
   net::fd listener_;
   std::thread acceptor_;
@@ -282,23 +293,12 @@ class stub_server {
   bool started_ = false;
   std::uint64_t next_connection_id_ = 0;
 
-  mutable std::mutex mutex_;  // connections_ + counters_
+  std::mutex mutex_;  // connections_
   /// Live connections by owner token — the routing table workers answer
   /// through (a reaped or dead connection simply is not found and the
   /// responses are dropped) and the only container, so registration,
   /// reaping, and shutdown cannot drift apart.
   std::unordered_map<std::uint64_t, std::shared_ptr<connection>> connections_;
-  stub_server_counters counters_;
-
-  /// default_registry() instruments mirroring the counters above (plus
-  /// the live work-queue depth), resolved once at construction so the
-  /// hot paths pay one relaxed fetch_add each.
-  obs::counter& metric_appeals_;
-  obs::counter& metric_scored_;
-  obs::counter& metric_expired_;
-  obs::counter& metric_overloaded_;
-  obs::counter& metric_projected_;
-  obs::gauge& metric_queue_depth_;
 };
 
 }  // namespace appeal::serve

@@ -13,49 +13,46 @@
 #include "core/threshold.hpp"
 #include "metrics/metrics.hpp"
 #include "serve/engine.hpp"
+#include "serve_fixtures.hpp"
 #include "util/error.hpp"
-#include "util/rng.hpp"
 
 namespace {
 
 using namespace appeal;
+using namespace appeal::fixtures;
 
-struct population {
-  std::vector<std::size_t> labels;
-  std::vector<std::size_t> little;
-  std::vector<std::size_t> big;
-  std::vector<double> scores;
-};
+TEST(engine, unnamed_engines_alive_together_keep_separate_counts) {
+  const population p = make_population(600, 37);
+  serve::replay_edge_backend edge(p.little, p.scores);
+  serve::replay_cloud_backend cloud(p.big);
+  serve::engine_config cfg = fast_config();
+  cfg.threshold.adapt = serve::threshold_config::mode::fixed;
+  cfg.threshold.initial_delta = 0.55;
+  serve::engine a(cfg, serve::engine_resources::standalone(edge, cloud));
+  serve::engine b(cfg, serve::engine_resources::standalone(edge, cloud));
 
-/// Synthetic workload mirroring the offline test fixtures: a little model
-/// that is right ~80% of the time, a big model right ~97%, and scores
-/// correlated with little-correctness (easy inputs score high).
-population make_population(std::size_t n, std::uint64_t seed) {
-  util::rng gen(seed);
-  population p;
-  p.labels.resize(n);
-  p.little.resize(n);
-  p.big.resize(n);
-  p.scores.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    p.labels[i] = i % 10;
-    const bool little_right = gen.bernoulli(0.8);
-    p.little[i] = little_right ? p.labels[i] : (p.labels[i] + 1) % 10;
-    p.big[i] = gen.bernoulli(0.97) ? p.labels[i] : (p.labels[i] + 2) % 10;
-    p.scores[i] = little_right ? 0.5 + 0.5 * gen.uniform()
-                               : 0.7 * gen.uniform();
+  std::vector<std::future<serve::response>> futures;
+  std::size_t appeals_a = 0;
+  std::size_t appeals_b = 0;
+  for (std::size_t i = 0; i < 600; ++i) {
+    const bool to_a = i % 3 != 0;  // 400 to a, 200 to b
+    (to_a ? appeals_a : appeals_b) += p.scores[i] < 0.55;
+    futures.push_back((to_a ? a : b).submit(tensor(), i, p.labels[i]));
   }
-  return p;
-}
+  for (auto& f : futures) f.get();
+  a.drain();
+  b.drain();
 
-serve::engine_config fast_config() {
-  serve::engine_config cfg;
-  cfg.batching.max_batch_size = 16;
-  cfg.batching.max_wait = std::chrono::microseconds(200);
-  cfg.num_workers = 2;
-  cfg.queue_capacity = 256;
-  cfg.channel.time_scale = 0.0;  // no simulated delays in unit tests
-  return cfg;
+  const serve::stats_snapshot sa = a.snapshot();
+  const serve::stats_snapshot sb = b.snapshot();
+  EXPECT_EQ(sa.completed, 400U);
+  EXPECT_EQ(sb.completed, 200U);
+  EXPECT_EQ(sa.appealed, appeals_a);
+  EXPECT_EQ(sb.appealed, appeals_b);
+  EXPECT_EQ(sa.appeals_on_wire, appeals_a);
+  EXPECT_EQ(sb.appeals_on_wire, appeals_b);
+  EXPECT_EQ(a.node_stats().front().in, 400U);
+  EXPECT_EQ(b.node_stats().front().in, 200U);
 }
 
 TEST(engine, fixed_delta_matches_offline_evaluation) {
@@ -86,7 +83,7 @@ TEST(engine, fixed_delta_matches_offline_evaluation) {
   const core::operating_point offline =
       core::evaluate_at_delta(p.little, p.big, p.labels, p.scores, delta, ctx);
 
-  const serve::stats_snapshot s = eng.stats().snapshot();
+  const serve::stats_snapshot s = eng.snapshot();
   EXPECT_EQ(s.completed, n);
   EXPECT_EQ(s.edge_kept + s.appealed, n);
   EXPECT_EQ(s.labeled, n);
@@ -141,7 +138,7 @@ TEST(engine, adaptive_mode_tracks_target_sr) {
   }
   eng.drain();
 
-  const serve::stats_snapshot s = eng.stats().snapshot();
+  const serve::stats_snapshot s = eng.snapshot();
   EXPECT_EQ(s.completed, n - warmup);
   // 2% of target in steady state (the acceptance bound of the serving
   // bench).
@@ -166,7 +163,7 @@ TEST(engine, unlabeled_requests_are_excluded_from_accuracy) {
     eng.submit(tensor(), i, label);
   }
   eng.drain();
-  const serve::stats_snapshot s = eng.stats().snapshot();
+  const serve::stats_snapshot s = eng.snapshot();
   EXPECT_EQ(s.completed, n);
   EXPECT_EQ(s.labeled, n / 2);
 }
@@ -195,7 +192,7 @@ TEST(engine, owning_factory_constructor_serves_like_references) {
     eng.submit(tensor(), i, p.labels[i]);
   }
   eng.drain();
-  const serve::stats_snapshot s = eng.stats().snapshot();
+  const serve::stats_snapshot s = eng.snapshot();
   EXPECT_EQ(s.completed, n);
   EXPECT_EQ(s.edge_kept + s.appealed, n);
   EXPECT_GT(s.edge_kept, 0U);
@@ -236,7 +233,7 @@ TEST(engine, expired_deadline_skips_inference) {
     }
   }
   EXPECT_GT(expired, 0U);
-  const serve::stats_snapshot s = eng.stats().snapshot();
+  const serve::stats_snapshot s = eng.snapshot();
   EXPECT_EQ(s.expired, expired);
   EXPECT_EQ(s.completed + s.expired, n);
   // Expired requests are excluded from SR/accuracy denominators.
@@ -284,7 +281,7 @@ TEST(engine, simulated_link_delay_shows_up_in_cloud_latency) {
     EXPECT_GE(r.link_ms, min_link_ms * 0.9);
     EXPECT_GE(r.latency_ms, r.link_ms * 0.5);
   }
-  const serve::stats_snapshot s = eng.stats().snapshot();
+  const serve::stats_snapshot s = eng.snapshot();
   EXPECT_EQ(s.appealed, n);
   EXPECT_GT(s.mean_link_ms, 0.0);
 }

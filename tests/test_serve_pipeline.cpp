@@ -15,11 +15,12 @@
 #include "serve/engine.hpp"
 #include "serve/pipeline/node_queue.hpp"
 #include "serve/pipeline/pipeline_node.hpp"
-#include "util/rng.hpp"
+#include "serve_fixtures.hpp"
 
 namespace {
 
 using namespace appeal;
+using namespace appeal::fixtures;
 using serve::pipeline::node_queue;
 
 // ------------------------------------------------------------ node_queue
@@ -79,7 +80,7 @@ class relay_node final : public serve::pipeline::pipeline_node {
   relay_node(const std::string& name, std::size_t depth,
              node_queue<int>* downstream, std::vector<std::string>& close_log,
              std::mutex& log_mutex)
-      : pipeline_node(name, ""),
+      : pipeline_node(name, obs::default_registry(), ""),
         input_(depth),
         downstream_(downstream),
         close_log_(close_log),
@@ -143,49 +144,14 @@ TEST(pipeline_graph, drains_in_topological_order_and_loses_nothing) {
   for (const auto& s : graph.stats()) {
     EXPECT_EQ(s.in, s.out + s.egress) << "node " << s.name;
   }
-  EXPECT_EQ(head.in_count(), static_cast<std::uint64_t>(n));
-  EXPECT_EQ(sink.egress_count(), static_cast<std::uint64_t>(n));
+  EXPECT_EQ(head.stats().in, static_cast<std::uint64_t>(n));
+  EXPECT_EQ(sink.stats().egress, static_cast<std::uint64_t>(n));
   // Idempotent.
   graph.drain_and_stop();
   EXPECT_EQ(close_log.size(), 3U);
 }
 
 // ----------------------------------------------------- engine integration
-
-struct population {
-  std::vector<std::size_t> labels;
-  std::vector<std::size_t> little;
-  std::vector<std::size_t> big;
-  std::vector<double> scores;
-};
-
-population make_population(std::size_t n, std::uint64_t seed) {
-  util::rng gen(seed);
-  population p;
-  p.labels.resize(n);
-  p.little.resize(n);
-  p.big.resize(n);
-  p.scores.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    p.labels[i] = i % 10;
-    const bool little_right = gen.bernoulli(0.8);
-    p.little[i] = little_right ? p.labels[i] : (p.labels[i] + 1) % 10;
-    p.big[i] = gen.bernoulli(0.97) ? p.labels[i] : (p.labels[i] + 2) % 10;
-    p.scores[i] = little_right ? 0.5 + 0.5 * gen.uniform()
-                               : 0.7 * gen.uniform();
-  }
-  return p;
-}
-
-serve::engine_config fast_config() {
-  serve::engine_config cfg;
-  cfg.batching.max_batch_size = 16;
-  cfg.batching.max_wait = std::chrono::microseconds(200);
-  cfg.num_workers = 2;
-  cfg.queue_capacity = 256;
-  cfg.channel.time_scale = 0.0;
-  return cfg;
-}
 
 /// Asserts the full conservation chain over an engine's node ledgers.
 /// Call after shutdown(): a producer bumps its out-ledger only after the
@@ -380,7 +346,7 @@ TEST(pipeline_engine, unified_constructor_matches_legacy_shims) {
       eng.submit(tensor(), i, p.labels[i]);
     }
     eng.drain();
-    return eng.stats().snapshot();
+    return eng.snapshot();
   };
 
   serve::engine_config cfg = fast_config();

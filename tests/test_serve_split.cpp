@@ -9,7 +9,6 @@
 #include <cstring>
 #include <mutex>
 #include <string>
-#include <unistd.h>
 #include <vector>
 
 #include "collab/cost_model.hpp"
@@ -22,18 +21,14 @@
 #include "serve/split.hpp"
 #include "serve/transport/stub_server.hpp"
 #include "serve/transport/wire.hpp"
+#include "serve_fixtures.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace appeal;
 using namespace appeal::serve;
-
-std::string unique_uds_path(const char* tag) {
-  static std::atomic<int> counter{0};
-  return "/tmp/appeal-split-" + std::to_string(::getpid()) + "-" + tag + "-" +
-         std::to_string(counter.fetch_add(1)) + ".sock";
-}
+using fixtures::unique_uds_path;
 
 /// Bit-exact tensor equality: same shape, same float bit patterns.
 void expect_bit_exact(const tensor& a, const tensor& b, const char* what) {
@@ -164,7 +159,7 @@ TEST(split_model, enumerate_cloud_cuts_matches_model_table) {
 }
 
 // ---------------------------------------------------------------------------
-// Wire v5: split frames, v4 fallback, torn reads.
+// Split frames: feature maps, the raw-input path, torn reads.
 // ---------------------------------------------------------------------------
 
 TEST(wire_split, v5_feature_frame_round_trips_through_torn_reads) {
@@ -180,8 +175,7 @@ TEST(wire_split, v5_feature_frame_round_trips_through_torn_reads) {
   v.input = &input;
   v.split_cut = 3;
   v.feature = &feature;
-  const std::vector<std::uint8_t> bytes =
-      wire::encode_appeal_batch({v}, wire::kVersion);
+  const std::vector<std::uint8_t> bytes = wire::encode_appeal_batch({v});
 
   // A torn stream: the splitter sees the frame one byte at a time and
   // must yield exactly one well-formed frame at the final byte.
@@ -197,7 +191,6 @@ TEST(wire_split, v5_feature_frame_round_trips_through_torn_reads) {
     }
   }
   ASSERT_EQ(frames, 1U);
-  EXPECT_EQ(frame.version, wire::kVersion);
 
   const std::vector<wire::appeal_record> records =
       wire::decode_appeal_batch(frame);
@@ -207,56 +200,30 @@ TEST(wire_split, v5_feature_frame_round_trips_through_torn_reads) {
   expect_bit_exact(records[0].input, feature, "feature payload");
 }
 
-TEST(wire_split, v4_peer_receives_raw_input_appeal) {
-  // Encoding a split view at v4 must ship the raw input: an old cloud
-  // transparently recomputes in full instead of choking on a cut id.
+TEST(wire_split, split_view_without_feature_ships_raw_input) {
+  // A split-tagged view with no feature map (a replay backend has no
+  // layers to partition) ships the raw input, unflagged.
   const tensor input =
       tensor::from_values(shape{2, 2}, {1.5F, -2.5F, 3.5F, -4.5F});
-  const tensor feature = tensor::from_values(shape{4}, {9, 9, 9, 9});
+  const tensor empty;
   wire::appeal_view v;
   v.id = 1;
-  v.model = "compat";
+  v.model = "raw";
   v.input = &input;
   v.split_cut = 2;
-  v.feature = &feature;
+  v.feature = &empty;
 
   wire::frame_splitter splitter;
-  const std::vector<std::uint8_t> bytes =
-      wire::encode_appeal_batch({v}, wire::kVersionV4);
+  const std::vector<std::uint8_t> bytes = wire::encode_appeal_batch({v});
+  EXPECT_EQ(bytes.size(), wire::kHeaderBytes + wire::appeal_wire_bytes(v));
   splitter.feed(bytes.data(), bytes.size());
   const auto frame = splitter.next();
   ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(frame->version, wire::kVersionV4);
   const std::vector<wire::appeal_record> records =
       wire::decode_appeal_batch(*frame);
   ASSERT_EQ(records.size(), 1U);
-  EXPECT_EQ(records[0].split_cut, 0U) << "v4 frame leaked a cut id";
-  expect_bit_exact(records[0].input, input, "raw input fallback");
-}
-
-TEST(wire_split, rejected_status_downgrades_below_v5) {
-  wire::response_record r;
-  r.id = 5;
-  r.status = wire::response_status::rejected;
-
-  wire::frame_splitter splitter;
-  const std::vector<std::uint8_t> v5 =
-      wire::encode_response_batch({r}, wire::kVersion);
-  splitter.feed(v5.data(), v5.size());
-  auto frame = splitter.next();
-  ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(wire::decode_response_batch(*frame)[0].status,
-            wire::response_status::rejected);
-
-  const std::vector<std::uint8_t> v4 =
-      wire::encode_response_batch({r}, wire::kVersionV4);
-  splitter.feed(v4.data(), v4.size());
-  frame = splitter.next();
-  ASSERT_TRUE(frame.has_value());
-  EXPECT_EQ(wire::decode_response_batch(*frame)[0].status,
-            wire::response_status::expired)
-      << "an old edge must read 'rejected' as the strongest status it "
-         "knows: don't wait for me";
+  EXPECT_EQ(records[0].split_cut, 0U) << "a featureless appeal got a cut id";
+  expect_bit_exact(records[0].input, input, "raw input");
 }
 
 // ---------------------------------------------------------------------------
@@ -277,10 +244,11 @@ std::vector<std::size_t> reference_predictions(
 }
 
 /// Ships every image through a channel configured with `split` and
-/// returns (predictions, final channel counters).
+/// returns its predictions and its link's instruments (which outlive the
+/// channel in the registry).
 struct split_run {
   std::vector<std::size_t> got;
-  link_counters counters;
+  link_metrics link;
 };
 split_run run_split_appeals(const cloud_model_config& model_cfg,
                             const std::string& endpoint,
@@ -288,15 +256,14 @@ split_run run_split_appeals(const cloud_model_config& model_cfg,
                             const std::vector<tensor>& images,
                             const std::string& name) {
   network_cloud_backend fallback(make_cloud_model(model_cfg));
-  link_config cfg;
-  cfg.transport = transport_kind::uds;
-  cfg.endpoint = endpoint;
+  link_config cfg = fixtures::uds_link(endpoint);
   cfg.coalesce_window_ms = 10.0;  // pack several appeals per frame
   cfg.split = split;
   cloud_channel channel(fallback, collab::cost_model{}, cfg, name);
   std::mutex mutex;
-  split_run out;
-  out.got.assign(images.size(), static_cast<std::size_t>(-1));
+  split_run out{std::vector<std::size_t>(images.size(),
+                                         static_cast<std::size_t>(-1)),
+                channel.metrics()};
   for (std::uint64_t key = 0; key < images.size(); ++key) {
     channel.appeal(make_image_request(key, images[key]),
                    [&](request&& done, const appeal_outcome& outcome) {
@@ -306,7 +273,6 @@ split_run run_split_appeals(const cloud_model_config& model_cfg,
                    });
   }
   channel.drain();
-  out.counters = channel.counters();
   return out;
 }
 
@@ -327,9 +293,7 @@ TEST(serve_split, fixed_cut_bit_exact_over_uds_at_every_cut) {
       model_cfg.spec.in_channels * model_cfg.spec.image_size *
       model_cfg.spec.image_size * sizeof(float));
 
-  stub_server_config scfg;
-  scfg.kind = transport_kind::uds;
-  scfg.endpoint = unique_uds_path("fixed");
+  stub_server_config scfg = fixtures::uds_stub("fixed");
   scfg.workers = 2;
   scfg.max_cloud_batch = 8;
   stub_server stub(scfg, make_network_scorer_factory(model_cfg));
@@ -348,18 +312,15 @@ TEST(serve_split, fixed_cut_bit_exact_over_uds_at_every_cut) {
       EXPECT_EQ(run.got[i], expected[i])
           << "cut " << cut.name << " diverged from full recompute at " << i;
     }
-    EXPECT_EQ(run.counters.local_fallbacks, 0U) << "cut " << cut.name;
-    EXPECT_EQ(run.counters.split_rejected, 0U) << "cut " << cut.name;
-    EXPECT_EQ(run.counters.split_appeals, n) << "cut " << cut.name;
-    EXPECT_EQ(run.counters.split_cut, cut.id);
+    EXPECT_EQ(run.link.fallbacks.value(), 0U) << "cut " << cut.name;
+    EXPECT_EQ(run.link.split_rejected.value(), 0U) << "cut " << cut.name;
+    EXPECT_EQ(run.link.split_appeals.value(), n) << "cut " << cut.name;
+    EXPECT_EQ(run.link.split_cut.value(), cut.id);
     // +4: the cut id u32 rides each split record.
-    if (cut.wire_bytes + 4 < raw_bytes) {
-      EXPECT_EQ(run.counters.split_bytes_saved,
-                n * (raw_bytes - cut.wire_bytes - 4))
-          << "cut " << cut.name;
-    } else {
-      EXPECT_EQ(run.counters.split_bytes_saved, 0U) << "cut " << cut.name;
-    }
+    const std::size_t saved =
+        cut.wire_bytes + 4 < raw_bytes ? raw_bytes - cut.wire_bytes - 4 : 0;
+    EXPECT_EQ(run.link.split_bytes_saved.value(), n * saved)
+        << "cut " << cut.name;
   }
   stub.stop();
 }
@@ -378,9 +339,7 @@ TEST(serve_split, rejected_cut_completes_locally_and_blacklists) {
   const std::vector<std::size_t> expected =
       reference_predictions(model_cfg, images);
 
-  stub_server_config scfg;
-  scfg.kind = transport_kind::uds;
-  scfg.endpoint = unique_uds_path("reject");
+  stub_server_config scfg = fixtures::uds_stub("reject");
   stub_server stub(scfg, [](const wire::appeal_record& a) -> std::size_t {
     // This cloud has no split support at all: any feature-map appeal is
     // unscorable as sent; raw input scores by key.
@@ -390,9 +349,7 @@ TEST(serve_split, rejected_cut_completes_locally_and_blacklists) {
   stub.start();
 
   network_cloud_backend fallback(make_cloud_model(model_cfg));
-  link_config cfg;
-  cfg.transport = transport_kind::uds;
-  cfg.endpoint = scfg.endpoint;
+  link_config cfg = fixtures::uds_link(scfg.endpoint);
   cfg.split.mode = split_mode::fixed;
   cfg.split.cut = 1;
   cfg.split.cuts = enumerate_cloud_cuts(model_cfg);
@@ -414,23 +371,22 @@ TEST(serve_split, rejected_cut_completes_locally_and_blacklists) {
   channel.drain();
   EXPECT_EQ(got[0], expected[0])
       << "rejected appeal must complete from the bit-identical local copy";
-  link_counters after = channel.counters();
-  EXPECT_EQ(after.split_rejected, 1U);
-  EXPECT_EQ(after.local_fallbacks, 1U);
-  EXPECT_EQ(after.split_cut, 0U) << "rejected cut still active";
+  const link_metrics& m = channel.metrics();
+  EXPECT_EQ(m.split_rejected.value(), 1U);
+  EXPECT_EQ(m.fallbacks.value(), 1U);
+  EXPECT_EQ(m.split_cut.value(), 0.0) << "rejected cut still active";
 
   // Phase 2: the cut is blacklisted — later appeals ship raw input and
   // the peer scores them on the wire (no further fallbacks).
   for (std::uint64_t key = 1; key < n; ++key) submit(key);
   channel.drain();
-  after = channel.counters();
   for (std::size_t i = 1; i < n; ++i) {
     EXPECT_EQ(got[i], i % 10) << "raw-input appeal " << i
                               << " not scored by the peer";
   }
-  EXPECT_EQ(after.split_rejected, 1U) << "blacklisted cut was re-shipped";
-  EXPECT_EQ(after.split_appeals, 1U);
-  EXPECT_EQ(after.local_fallbacks, 1U);
+  EXPECT_EQ(m.split_rejected.value(), 1U) << "blacklisted cut was re-shipped";
+  EXPECT_EQ(m.split_appeals.value(), 1U);
+  EXPECT_EQ(m.fallbacks.value(), 1U);
   stub.stop();
 }
 
@@ -447,9 +403,7 @@ TEST(serve_split, auto_mode_sheds_wire_bytes_at_unchanged_answers) {
   const std::vector<std::size_t> expected =
       reference_predictions(model_cfg, images);
 
-  stub_server_config scfg;
-  scfg.kind = transport_kind::uds;
-  scfg.endpoint = unique_uds_path("auto");
+  stub_server_config scfg = fixtures::uds_stub("auto");
   scfg.workers = 2;
   scfg.max_cloud_batch = 8;
   stub_server stub(scfg, make_network_scorer_factory(model_cfg));
@@ -468,10 +422,11 @@ TEST(serve_split, auto_mode_sheds_wire_bytes_at_unchanged_answers) {
     EXPECT_EQ(raw.got[i], expected[i]) << "raw run diverged at " << i;
     EXPECT_EQ(split.got[i], expected[i]) << "auto run diverged at " << i;
   }
-  EXPECT_NE(split.counters.split_cut, 0U) << "auto mode never left raw input";
-  EXPECT_GT(split.counters.split_appeals, 0U);
-  EXPECT_GT(split.counters.split_bytes_saved, 0U);
-  EXPECT_LT(split.counters.wire.bytes_sent, raw.counters.wire.bytes_sent)
+  EXPECT_NE(split.link.split_cut.value(), 0.0)
+      << "auto mode never left raw input";
+  EXPECT_GT(split.link.split_appeals.value(), 0U);
+  EXPECT_GT(split.link.split_bytes_saved.value(), 0U);
+  EXPECT_LT(split.link.tx_bytes.value(), raw.link.tx_bytes.value())
       << "split appeals must shed uplink bytes on this model";
 
   // The observability contract the CI gate scrapes: the active cut gauge

@@ -22,22 +22,18 @@
 #include "serve/engine.hpp"
 #include "serve/transport/fault_transport.hpp"
 #include "serve/transport/socket_transport.hpp"
-#include "serve/transport/socket_util.hpp"
 #include "serve/transport/stub_server.hpp"
 #include "serve/transport/synthetic_scorer.hpp"
+#include "serve_fixtures.hpp"
 #include "util/error.hpp"
+#include "util/net.hpp"
 #include "util/rng.hpp"
 
 namespace {
 
 using namespace appeal;
 using namespace appeal::serve;
-
-std::string unique_uds_path(const char* tag) {
-  static std::atomic<int> counter{0};
-  return "/tmp/appeal-test-" + std::to_string(::getpid()) + "-" + tag + "-" +
-         std::to_string(counter.fetch_add(1)) + ".sock";
-}
+using fixtures::unique_uds_path;
 
 /// Scorer the stub-side tests share: a deterministic function of the key.
 std::size_t key_scorer(const wire::appeal_record& a) {
@@ -50,6 +46,15 @@ request make_request(std::uint64_t key) {
   r.key = key;
   r.enqueue_time = std::chrono::steady_clock::now();
   return r;
+}
+
+/// Appeals one request and blocks until its prediction is back.
+std::size_t ask(cloud_channel& channel, std::uint64_t key) {
+  std::promise<std::size_t> answered;
+  channel.appeal(make_request(key), [&](request&&, const appeal_outcome& out) {
+    answered.set_value(out.prediction);
+  });
+  return answered.get_future().get();
 }
 
 /// Collects transport completions for assertions.
@@ -74,6 +79,23 @@ struct completion_sink {
   }
 };
 
+/// Ships appeals with ids (and keys) [first, first + n) as one frame;
+/// returns the bytes written.
+std::size_t send_frame(socket_transport& transport, std::uint64_t first,
+                       std::size_t n) {
+  std::vector<request> requests;
+  for (std::uint64_t id = first; id < first + n; ++id) {
+    requests.push_back(make_request(id));
+  }
+  std::vector<const request*> batch;
+  std::vector<std::uint64_t> ids;
+  for (const request& r : requests) {
+    batch.push_back(&r);
+    ids.push_back(r.key);
+  }
+  return transport.send_batch(batch, ids, "test");
+}
+
 void exercise_socket_transport(transport_kind kind,
                                const std::string& listen_endpoint) {
   stub_server_config server_cfg;
@@ -86,41 +108,37 @@ void exercise_socket_transport(transport_kind kind,
           ? "127.0.0.1:" + std::to_string(server.tcp_port())
           : listen_endpoint;
 
-  socket_transport transport(kind, endpoint);
+  obs::metrics_registry registry;
+  const link_metrics wire(registry, "loopback");
+  socket_transport transport(kind, endpoint, wire);
   completion_sink sink;
   std::atomic<bool> failed{false};
   transport.start(sink.fn(), [&] { failed = true; });
 
-  const std::size_t n = 9;
-  std::vector<request> requests;
-  for (std::size_t i = 0; i < n; ++i) requests.push_back(make_request(i));
-  std::vector<const request*> batch;
-  std::vector<std::uint64_t> ids;
-  for (std::size_t i = 0; i < n; ++i) {
-    batch.push_back(&requests[i]);
-    ids.push_back(100 + i);
-  }
   // Two frames over one connection: a batch of n-1 and a single.
-  transport.send_batch({batch.begin(), batch.end() - 1},
-                       {ids.begin(), ids.end() - 1}, "test");
-  transport.send_batch({batch.back()}, {ids.back()}, "test");
+  const std::size_t n = 9;
+  send_frame(transport, 100, n - 1);
+  send_frame(transport, 100 + n - 1, 1);
   sink.wait_for(n);
 
   for (const auto& c : sink.all) {
     ASSERT_GE(c.id, 100U);
-    EXPECT_EQ(c.prediction, (c.id - 100) % 10) << "wrong demuxed prediction";
+    EXPECT_EQ(c.prediction, c.id % 10) << "wrong demuxed prediction";
   }
-  const transport_counters tc = transport.counters();
-  EXPECT_EQ(tc.batches_sent, 2U);
-  EXPECT_EQ(tc.appeals_sent, n);
-  EXPECT_GT(tc.bytes_sent, 0U);
-  EXPECT_GT(tc.bytes_received, 0U);
+  EXPECT_EQ(wire.batches.value(), 2U);
+  EXPECT_EQ(wire.appeals.value(), n);
+  EXPECT_GT(wire.tx_bytes.value(), 0U);
+  EXPECT_GT(wire.rx_bytes.value(), 0U);
   transport.stop();
   EXPECT_FALSE(failed.load()) << "clean stop must not fire on_failure";
   server.stop();
-  const stub_server_counters sc = server.counters();
-  EXPECT_EQ(sc.appeals, n);
-  EXPECT_EQ(sc.connections, 1U);
+  // Both ends count the same frames: what one wrote, the other read.
+  const stub_metrics& sm = server.metrics();
+  EXPECT_EQ(sm.appeals.value(), n);
+  EXPECT_EQ(sm.batches.value(), 2U);
+  EXPECT_EQ(sm.connections.value(), 1U);
+  EXPECT_EQ(sm.rx_bytes.value(), wire.tx_bytes.value());
+  EXPECT_EQ(sm.tx_bytes.value(), wire.rx_bytes.value());
 }
 
 TEST(transport, uds_loopback_round_trip) {
@@ -167,9 +185,7 @@ TEST(transport, demux_survives_reordered_split_responses) {
 
   {
     replay_cloud_backend fallback(std::vector<std::size_t>(16, 0));
-    link_config cfg;
-    cfg.transport = transport_kind::uds;
-    cfg.endpoint = path;
+    link_config cfg = fixtures::uds_link(path);
     cfg.coalesce_window_ms = 200.0;  // pack all 6 into one frame
     cfg.max_batch_appeals = 6;
     cloud_channel channel(fallback, collab::cost_model{}, cfg, "reorder");
@@ -188,10 +204,10 @@ TEST(transport, demux_survives_reordered_split_responses) {
     for (const auto& [key, prediction] : done) {
       EXPECT_EQ(prediction, key * 7 % 10) << "demux crossed appeals";
     }
-    const link_counters lc = channel.counters();
-    EXPECT_EQ(lc.wire.batches_sent, 1U) << "window should coalesce the burst";
-    EXPECT_EQ(lc.wire.appeals_sent, 6U);
-    EXPECT_EQ(lc.local_fallbacks, 0U);
+    const link_metrics& m = channel.metrics();
+    EXPECT_EQ(m.batches.value(), 1U) << "window should coalesce the burst";
+    EXPECT_EQ(m.appeals.value(), 6U);
+    EXPECT_EQ(m.fallbacks.value(), 0U);
   }
   listener.shutdown();
   cloud.join();
@@ -215,27 +231,22 @@ TEST(transport, sim_transport_counts_equivalent_wire_bytes) {
   }
   channel.drain();
   EXPECT_EQ(completions.load(), 8U);
-  const link_counters lc = channel.counters();
-  EXPECT_EQ(lc.wire.appeals_sent, 8U);
-  EXPECT_GE(lc.wire.batches_sent, 1U);
-  EXPECT_LE(lc.wire.batches_sent, 8U);
+  const link_metrics& m = channel.metrics();
+  EXPECT_EQ(m.appeals.value(), 8U);
+  EXPECT_GE(m.batches.value(), 1U);
+  EXPECT_LE(m.batches.value(), 8U);
   // Every appeal carries at least its fixed wire fields.
-  EXPECT_GE(lc.wire.bytes_sent, 8 * 44U);
-  EXPECT_EQ(lc.completed, 8U);
-  EXPECT_EQ(lc.local_fallbacks, 0U);
+  EXPECT_GE(m.tx_bytes.value(), 8 * 44U);
+  EXPECT_EQ(m.fallbacks.value(), 0U);
 }
 
 TEST(transport, channel_coalesces_bursts_under_window) {
-  stub_server_config server_cfg;
-  server_cfg.kind = transport_kind::uds;
-  server_cfg.endpoint = unique_uds_path("coalesce");
+  stub_server_config server_cfg = fixtures::uds_stub("coalesce");
   stub_server server(server_cfg, key_scorer);
   server.start();
 
   replay_cloud_backend fallback(std::vector<std::size_t>(64, 0));
-  link_config cfg;
-  cfg.transport = transport_kind::uds;
-  cfg.endpoint = server_cfg.endpoint;
+  link_config cfg = fixtures::uds_link(server_cfg.endpoint);
   cfg.coalesce_window_ms = 500.0;  // generous: CI machines stall
   cfg.max_batch_appeals = 16;
   cloud_channel channel(fallback, collab::cost_model{}, cfg, "burst");
@@ -251,12 +262,11 @@ TEST(transport, channel_coalesces_bursts_under_window) {
   }
   channel.drain();
   EXPECT_EQ(completions.load(), 16U);
-  const link_counters lc = channel.counters();
-  EXPECT_EQ(lc.wire.appeals_sent, 16U);
+  const link_metrics& m = channel.metrics();
+  EXPECT_EQ(m.appeals.value(), 16U);
   // The window holds the frame open until the batch cap: one full batch
   // (the burst outruns the 500 ms window by orders of magnitude).
-  EXPECT_EQ(lc.wire.batches_sent, 1U);
-  EXPECT_DOUBLE_EQ(lc.wire.mean_appeals_per_batch(), 16.0);
+  EXPECT_EQ(m.batches.value(), 1U);
 }
 
 TEST(transport, link_failure_falls_back_to_local_backend) {
@@ -264,12 +274,8 @@ TEST(transport, link_failure_falls_back_to_local_backend) {
   // while the stub answers key % 10 — so the source of every completion
   // is observable.
   replay_cloud_backend fallback(std::vector<std::size_t>(64, 7));
-  link_config cfg;
-  cfg.transport = transport_kind::uds;
-  cfg.endpoint = unique_uds_path("fail");
-  stub_server_config scfg;
-  scfg.kind = transport_kind::uds;
-  scfg.endpoint = cfg.endpoint;
+  const stub_server_config scfg = fixtures::uds_stub("fail");
+  const link_config cfg = fixtures::uds_link(scfg.endpoint);
   stub_server stub(scfg, key_scorer);
   stub.start();
 
@@ -296,9 +302,7 @@ TEST(transport, link_failure_falls_back_to_local_backend) {
   }
   channel.drain();  // must not hang: every appeal completes locally
   EXPECT_EQ(completions.load(), 11U);
-  const link_counters lc = channel.counters();
-  EXPECT_EQ(lc.completed, 11U);
-  EXPECT_EQ(lc.local_fallbacks, 10U);
+  EXPECT_EQ(channel.metrics().fallbacks.value(), 10U);
 }
 
 TEST(transport, silent_peer_trips_response_watchdog) {
@@ -318,9 +322,7 @@ TEST(transport, silent_peer_trips_response_watchdog) {
 
   {
     replay_cloud_backend fallback(std::vector<std::size_t>(16, 7));
-    link_config cfg;
-    cfg.transport = transport_kind::uds;
-    cfg.endpoint = path;
+    link_config cfg = fixtures::uds_link(path);
     cfg.response_timeout_ms = 200.0;
     cloud_channel channel(fallback, collab::cost_model{}, cfg, "blackhole");
     std::atomic<std::size_t> completions{0};
@@ -333,7 +335,7 @@ TEST(transport, silent_peer_trips_response_watchdog) {
     }
     channel.drain();  // must terminate within the watchdog budget
     EXPECT_EQ(completions.load(), 4U);
-    EXPECT_EQ(channel.counters().local_fallbacks, 4U);
+    EXPECT_EQ(channel.metrics().fallbacks.value(), 4U);
   }
   closing.store(true);
   listener.shutdown();
@@ -362,10 +364,7 @@ TEST(transport, engine_serves_identically_over_sim_and_uds) {
   const auto run = [&](const link_config& channel_cfg) {
     replay_edge_backend edge(little, scores);
     replay_cloud_backend cloud(big);
-    engine_config cfg;
-    cfg.batching.max_batch_size = 16;
-    cfg.batching.max_wait = std::chrono::microseconds(200);
-    cfg.num_workers = 2;
+    engine_config cfg = fixtures::fast_config();
     cfg.threshold.adapt = threshold_config::mode::fixed;
     cfg.threshold.initial_delta = 0.55;
     cfg.channel = channel_cfg;
@@ -381,17 +380,13 @@ TEST(transport, engine_serves_identically_over_sim_and_uds) {
   sim_cfg.time_scale = 0.0;
   const stats_snapshot sim = run(sim_cfg);
 
-  stub_server_config scfg;
-  scfg.kind = transport_kind::uds;
-  scfg.endpoint = unique_uds_path("engine");
+  stub_server_config scfg = fixtures::uds_stub("engine");
   stub_server stub(scfg, [&](const wire::appeal_record& a) {
     return transport::synthetic_big_prediction(
         a.key, static_cast<std::size_t>(a.label), 10, seed);
   });
   stub.start();
-  link_config uds_cfg;
-  uds_cfg.transport = transport_kind::uds;
-  uds_cfg.endpoint = scfg.endpoint;
+  link_config uds_cfg = fixtures::uds_link(scfg.endpoint);
   uds_cfg.coalesce_window_ms = 0.2;
   const stats_snapshot uds = run(uds_cfg);
   stub.stop();
@@ -458,9 +453,7 @@ TEST(transport, stub_sheds_blown_deadlines_as_cloud_expired) {
   // the client as request_status::expired on the cloud route and counted
   // as cloud_expired in serve_stats — instead of scoring it late.
   std::atomic<bool> scoring_started{false};
-  stub_server_config scfg;
-  scfg.kind = transport_kind::uds;
-  scfg.endpoint = unique_uds_path("shed");
+  stub_server_config scfg = fixtures::uds_stub("shed");
   scfg.workers = 1;
   stub_server stub(scfg, [&](const wire::appeal_record& a) -> std::size_t {
     scoring_started.store(true);
@@ -478,8 +471,7 @@ TEST(transport, stub_sheds_blown_deadlines_as_cloud_expired) {
   cfg.num_workers = 1;
   cfg.threshold.adapt = threshold_config::mode::fixed;
   cfg.threshold.initial_delta = 0.5;
-  cfg.channel.transport = transport_kind::uds;
-  cfg.channel.endpoint = scfg.endpoint;
+  cfg.channel = fixtures::uds_link(scfg.endpoint);
   engine eng(cfg, engine_resources::standalone(edge, cloud));
 
   std::future<response> a = eng.submit(tensor(), /*key=*/0, /*label=*/1);
@@ -512,8 +504,8 @@ TEST(transport, stub_sheds_blown_deadlines_as_cloud_expired) {
   EXPECT_EQ(s.appealed, 1U);
   eng.shutdown();
   stub.stop();
-  EXPECT_EQ(stub.counters().expired, 1U);
-  EXPECT_EQ(stub.counters().scored, 1U);
+  EXPECT_EQ(stub.metrics().expired.value(), 1U);
+  EXPECT_EQ(stub.metrics().scored.value(), 1U);
 }
 
 TEST(transport, full_work_queue_sheds_arrivals_as_overloaded) {
@@ -524,9 +516,7 @@ TEST(transport, full_work_queue_sheds_arrivals_as_overloaded) {
   // the channel resolves every overload from the local fallback backend,
   // so the caller always gets a real prediction, never a bogus expiry.
   std::atomic<bool> scoring_started{false};
-  stub_server_config scfg;
-  scfg.kind = transport_kind::uds;
-  scfg.endpoint = unique_uds_path("overload");
+  stub_server_config scfg = fixtures::uds_stub("overload");
   scfg.workers = 1;
   scfg.max_cloud_batch = 1;
   scfg.max_queue_depth = 1;
@@ -538,9 +528,7 @@ TEST(transport, full_work_queue_sheds_arrivals_as_overloaded) {
   stub.start();
 
   replay_cloud_backend fallback(std::vector<std::size_t>(16, 7));
-  link_config cfg;
-  cfg.transport = transport_kind::uds;
-  cfg.endpoint = scfg.endpoint;
+  link_config cfg = fixtures::uds_link(scfg.endpoint);
   cfg.max_retries = 0;  // overloads resolve locally, deterministically
   cloud_channel channel(fallback, collab::cost_model{}, cfg, "overload");
 
@@ -564,15 +552,15 @@ TEST(transport, full_work_queue_sheds_arrivals_as_overloaded) {
   EXPECT_EQ(ok.load(), 5U);       // every appeal gets a real answer
   EXPECT_EQ(expired.load(), 0U);  // overload is not expiry
   EXPECT_EQ(fallback_answers.load(), 3U);  // the three refused appeals
-  const link_counters lc = channel.counters();
-  EXPECT_EQ(lc.overloaded, 3U);
-  EXPECT_EQ(lc.local_fallbacks, 3U);
-  EXPECT_EQ(lc.retries, 0U);
+  const link_metrics& m = channel.metrics();
+  EXPECT_EQ(m.overloaded.value(), 3U);
+  EXPECT_EQ(m.fallbacks.value(), 3U);
+  EXPECT_EQ(m.retries.value(), 0U);
   // A streak of 3 overloads stays under breaker_threshold (4).
   EXPECT_EQ(channel.breaker(), breaker_state::closed);
   stub.stop();
-  EXPECT_EQ(stub.counters().overloaded, 3U);
-  EXPECT_EQ(stub.counters().scored, 2U);
+  EXPECT_EQ(stub.metrics().overloaded.value(), 3U);
+  EXPECT_EQ(stub.metrics().scored.value(), 2U);
 }
 
 TEST(transport, overloaded_appeals_retry_until_the_queue_drains) {
@@ -580,9 +568,7 @@ TEST(transport, overloaded_appeals_retry_until_the_queue_drains) {
   // must eventually score on the wire (predictions are key % 10, never
   // the fallback's constant 7) once the worker drains the depth-1 queue.
   std::atomic<bool> scoring_started{false};
-  stub_server_config scfg;
-  scfg.kind = transport_kind::uds;
-  scfg.endpoint = unique_uds_path("retry");
+  stub_server_config scfg = fixtures::uds_stub("retry");
   scfg.workers = 1;
   scfg.max_cloud_batch = 1;
   scfg.max_queue_depth = 1;
@@ -594,9 +580,7 @@ TEST(transport, overloaded_appeals_retry_until_the_queue_drains) {
   stub.start();
 
   replay_cloud_backend fallback(std::vector<std::size_t>(16, 7));
-  link_config cfg;
-  cfg.transport = transport_kind::uds;
-  cfg.endpoint = scfg.endpoint;
+  link_config cfg = fixtures::uds_link(scfg.endpoint);
   cfg.max_retries = 8;
   cfg.retry_backoff_ms = 20.0;
   cfg.breaker_threshold = 100;  // keep the breaker out of this test
@@ -622,13 +606,12 @@ TEST(transport, overloaded_appeals_retry_until_the_queue_drains) {
     EXPECT_EQ(prediction, key % 10) << "appeal " << key
                                     << " completed off the wire";
   }
-  const link_counters lc = channel.counters();
-  EXPECT_GE(lc.retries, 1U);
-  EXPECT_GE(lc.overloaded, 3U);
-  EXPECT_EQ(lc.local_fallbacks, 0U);
-  EXPECT_EQ(lc.completed, 5U);
+  const link_metrics& m = channel.metrics();
+  EXPECT_GE(m.retries.value(), 1U);
+  EXPECT_GE(m.overloaded.value(), 3U);
+  EXPECT_EQ(m.fallbacks.value(), 0U);
   stub.stop();
-  EXPECT_EQ(stub.counters().scored, 5U);
+  EXPECT_EQ(stub.metrics().scored.value(), 5U);
 }
 
 TEST(transport, stub_death_mid_flight_completes_every_appeal_exactly_once) {
@@ -637,9 +620,7 @@ TEST(transport, stub_death_mid_flight_completes_every_appeal_exactly_once) {
   // local fallback — never zero times (drain would wedge) and never
   // twice (double completion corrupts engine accounting).
   std::atomic<bool> scoring_started{false};
-  stub_server_config scfg;
-  scfg.kind = transport_kind::uds;
-  scfg.endpoint = unique_uds_path("midflight");
+  stub_server_config scfg = fixtures::uds_stub("midflight");
   scfg.workers = 1;
   stub_server stub(scfg, [&](const wire::appeal_record& a) -> std::size_t {
     scoring_started.store(true);
@@ -650,9 +631,7 @@ TEST(transport, stub_death_mid_flight_completes_every_appeal_exactly_once) {
 
   constexpr std::size_t n = 8;
   replay_cloud_backend fallback(std::vector<std::size_t>(n, 7));
-  link_config cfg;
-  cfg.transport = transport_kind::uds;
-  cfg.endpoint = scfg.endpoint;
+  link_config cfg = fixtures::uds_link(scfg.endpoint);
   cloud_channel channel(fallback, collab::cost_model{}, cfg, "midflight");
 
   std::array<std::atomic<int>, n> completions{};
@@ -671,11 +650,10 @@ TEST(transport, stub_death_mid_flight_completes_every_appeal_exactly_once) {
   for (std::size_t key = 0; key < n; ++key) {
     EXPECT_EQ(completions[key].load(), 1) << "appeal " << key;
   }
-  EXPECT_EQ(channel.counters().completed, n);
   // A hard link failure opens the breaker (half-open reconnects keep
   // failing against the dead endpoint, so it never re-closes here).
   EXPECT_NE(channel.breaker(), breaker_state::closed);
-  EXPECT_GE(channel.counters().breaker_opens, 1U);
+  EXPECT_GE(channel.metrics().breaker_opens.value(), 1U);
 }
 
 TEST(transport, breaker_recovers_after_the_cloud_returns) {
@@ -683,35 +661,24 @@ TEST(transport, breaker_recovers_after_the_cloud_returns) {
   // locally while the cloud is gone, a replacement stub binds the same
   // endpoint, and the half-open probe re-closes the breaker — appeals
   // score on the wire again instead of staying edge-only forever.
-  const std::string path = unique_uds_path("recover");
-  stub_server_config scfg;
-  scfg.kind = transport_kind::uds;
-  scfg.endpoint = path;
+  const stub_server_config scfg = fixtures::uds_stub("recover");
   auto stub1 = std::make_unique<stub_server>(scfg, key_scorer);
   stub1->start();
 
   replay_cloud_backend fallback(std::vector<std::size_t>(64, 7));
-  link_config cfg;
-  cfg.transport = transport_kind::uds;
-  cfg.endpoint = path;
+  link_config cfg = fixtures::uds_link(scfg.endpoint);
   cfg.breaker_open_ms = 100.0;  // short cool-off keeps the test fast
   cloud_channel channel(fallback, collab::cost_model{}, cfg, "recover");
 
-  const auto ask = [&](std::uint64_t key) {
-    std::promise<std::size_t> answered;
-    channel.appeal(make_request(key),
-                   [&](request&&, const appeal_outcome& out) {
-                     answered.set_value(out.prediction);
-                   });
-    return answered.get_future().get();
-  };
-  EXPECT_EQ(ask(3), 3U);  // the wire works
+  EXPECT_EQ(ask(channel, 3), 3U);  // the wire works
 
   stub1->stop();
+  const std::uint64_t stub1_rx = stub1->metrics().rx_bytes.value();
+  const std::uint64_t stub1_tx = stub1->metrics().tx_bytes.value();
   stub1.reset();
-  EXPECT_EQ(ask(14), 7U);  // link dead: the local fallback answers
+  EXPECT_EQ(ask(channel, 14), 7U);  // link dead: the local fallback answers
   EXPECT_NE(channel.breaker(), breaker_state::closed);
-  EXPECT_GE(channel.counters().breaker_opens, 1U);
+  EXPECT_GE(channel.metrics().breaker_opens.value(), 1U);
 
   stub_server stub2(scfg, key_scorer);
   stub2.start();
@@ -720,13 +687,75 @@ TEST(transport, breaker_recovers_after_the_cloud_returns) {
   // the breaker, and answers key % 10 over the wire again.
   bool recovered = false;
   for (int i = 0; i < 300 && !recovered; ++i) {
-    recovered = ask(5) == 5U && channel.breaker() == breaker_state::closed;
+    recovered =
+        ask(channel, 5) == 5U && channel.breaker() == breaker_state::closed;
     if (!recovered) std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   EXPECT_TRUE(recovered) << "breaker never re-closed after the stub returned";
-  EXPECT_EQ(ask(6), 6U);  // and it stays recovered
+  EXPECT_EQ(ask(channel, 6), 6U);  // and it stays recovered
   EXPECT_EQ(channel.breaker(), breaker_state::closed);
+  channel.drain();
   stub2.stop();
+  // The reconnect retired the first transport; the bytes it moved stay
+  // counted. Every frame the channel counts was read by one of the two
+  // stubs, and every response either stub wrote was read back.
+  EXPECT_GT(stub1_rx, 0U);
+  EXPECT_EQ(channel.metrics().tx_bytes.value(),
+            stub1_rx + stub2.metrics().rx_bytes.value());
+  EXPECT_EQ(channel.metrics().rx_bytes.value(),
+            stub1_tx + stub2.metrics().tx_bytes.value());
+}
+
+TEST(transport, two_stubs_alive_together_keep_separate_counts) {
+  // Each stub owns the registry its counts live in.
+  const stub_server_config first = fixtures::uds_stub("twin-a");
+  const stub_server_config second = fixtures::uds_stub("twin-b");
+  stub_server a(first, key_scorer);
+  stub_server b(second, key_scorer);
+  a.start();
+  b.start();
+  const auto send = [](const std::string& endpoint, std::size_t n) {
+    obs::metrics_registry registry;
+    socket_transport transport(transport_kind::uds, endpoint,
+                               link_metrics(registry, "twin"));
+    completion_sink sink;
+    transport.start(sink.fn(), [] {});
+    send_frame(transport, 0, n);
+    sink.wait_for(n);
+    transport.stop();
+  };
+  send(first.endpoint, 3);
+  send(second.endpoint, 5);
+  a.stop();
+  b.stop();
+  EXPECT_EQ(a.metrics().appeals.value(), 3U);
+  EXPECT_EQ(a.metrics().scored.value(), 3U);
+  EXPECT_EQ(b.metrics().appeals.value(), 5U);
+  EXPECT_EQ(b.metrics().scored.value(), 5U);
+  EXPECT_EQ(a.metrics().connections.value(), 1U);
+  EXPECT_EQ(b.metrics().connections.value(), 1U);
+}
+
+TEST(transport, failed_socket_send_counts_no_bytes) {
+  stub_server_config scfg = fixtures::uds_stub("sendfail");
+  stub_server stub(scfg, key_scorer);
+  stub.start();
+  obs::metrics_registry registry;
+  const link_metrics wire(registry, "sendfail");
+  socket_transport transport(transport_kind::uds, scfg.endpoint, wire);
+  completion_sink sink;
+  transport.start(sink.fn(), [] {});
+  const std::size_t sent = send_frame(transport, 1, 1);
+  sink.wait_for(1);
+  EXPECT_EQ(wire.tx_bytes.value(), sent);
+  EXPECT_EQ(wire.batches.value(), 1U);
+
+  stub.stop();  // the peer is gone: the next write cannot succeed
+  EXPECT_THROW(send_frame(transport, 2, 1), util::error);
+  EXPECT_EQ(wire.tx_bytes.value(), sent) << "a failed send counted bytes";
+  EXPECT_EQ(wire.batches.value(), 1U);
+  EXPECT_EQ(wire.appeals.value(), 1U);
+  transport.stop();
 }
 
 TEST(transport, lost_frame_on_a_live_link_does_not_trip_the_breaker) {
@@ -765,22 +794,12 @@ TEST(transport, lost_frame_on_a_live_link_does_not_trip_the_breaker) {
 
   {
     replay_cloud_backend fallback(std::vector<std::size_t>(512, 9));
-    link_config cfg;
-    cfg.transport = transport_kind::uds;
-    cfg.endpoint = path;
+    link_config cfg = fixtures::uds_link(path);
     cfg.max_batch_appeals = 1;  // one frame per appeal
     cfg.response_timeout_ms = 200.0;
     cloud_channel channel(fallback, collab::cost_model{}, cfg, "lostframe");
 
-    const auto ask = [&](std::uint64_t key) {
-      std::promise<std::size_t> answered;
-      channel.appeal(make_request(key),
-                     [&](request&&, const appeal_outcome& out) {
-                       answered.set_value(out.prediction);
-                     });
-      return answered.get_future().get();
-    };
-    EXPECT_EQ(ask(2), 4U);  // the wire works
+    EXPECT_EQ(ask(channel, 2), 4U);  // the wire works
 
     std::promise<std::size_t> lost_promise;
     std::future<std::size_t> lost = lost_promise.get_future();
@@ -793,17 +812,17 @@ TEST(transport, lost_frame_on_a_live_link_does_not_trip_the_breaker) {
     std::uint64_t key = 10;
     while (lost.wait_for(std::chrono::milliseconds(0)) !=
            std::future_status::ready) {
-      EXPECT_EQ(ask(key), key * 7 % 10);
+      EXPECT_EQ(ask(channel, key), key * 7 % 10);
       ++key;
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
       ASSERT_LT(key, 200U) << "the lost appeal never completed";
     }
     EXPECT_EQ(lost.get(), 9U) << "lost frame must complete from the fallback";
     EXPECT_EQ(channel.breaker(), breaker_state::closed);
-    const link_counters lc = channel.counters();
-    EXPECT_EQ(lc.breaker_opens, 0U) << "a live link must not be retired";
-    EXPECT_EQ(lc.local_fallbacks, 1U);
-    EXPECT_EQ(ask(5), 5U);  // still on the wire afterwards
+    const link_metrics& m = channel.metrics();
+    EXPECT_EQ(m.breaker_opens.value(), 0U) << "a live link must not be retired";
+    EXPECT_EQ(m.fallbacks.value(), 1U);
+    EXPECT_EQ(ask(channel, 5), 5U);  // still on the wire afterwards
   }
   closing.store(true);
   listener.shutdown();
@@ -818,34 +837,22 @@ TEST(transport, channel_survives_a_cloud_that_is_down_at_startup) {
   // comes up with the breaker already open, answers locally from the
   // first appeal, and recovers through the ordinary half-open probe
   // once something binds the endpoint.
-  const std::string path = unique_uds_path("coldstart");
+  const stub_server_config scfg = fixtures::uds_stub("coldstart");
   replay_cloud_backend fallback(std::vector<std::size_t>(64, 7));
-  link_config cfg;
-  cfg.transport = transport_kind::uds;
-  cfg.endpoint = path;  // nothing is listening here
+  link_config cfg = fixtures::uds_link(scfg.endpoint);  // nobody listens yet
   cfg.breaker_open_ms = 100.0;
   cloud_channel channel(fallback, collab::cost_model{}, cfg, "coldstart");
   EXPECT_EQ(channel.breaker(), breaker_state::open);
-  EXPECT_GE(channel.counters().breaker_opens, 1U);
+  EXPECT_GE(channel.metrics().breaker_opens.value(), 1U);
 
-  const auto ask = [&](std::uint64_t key) {
-    std::promise<std::size_t> answered;
-    channel.appeal(make_request(key),
-                   [&](request&&, const appeal_outcome& out) {
-                     answered.set_value(out.prediction);
-                   });
-    return answered.get_future().get();
-  };
-  EXPECT_EQ(ask(13), 7U);  // local fallback, immediately, no wedge
+  EXPECT_EQ(ask(channel, 13), 7U);  // local fallback, immediately, no wedge
 
-  stub_server_config scfg;
-  scfg.kind = transport_kind::uds;
-  scfg.endpoint = path;
   stub_server stub(scfg, key_scorer);
   stub.start();
   bool recovered = false;
   for (int i = 0; i < 300 && !recovered; ++i) {
-    recovered = ask(5) == 5U && channel.breaker() == breaker_state::closed;
+    recovered =
+        ask(channel, 5) == 5U && channel.breaker() == breaker_state::closed;
     if (!recovered) std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   EXPECT_TRUE(recovered) << "breaker never closed after the cloud appeared";
@@ -917,13 +924,13 @@ struct recording_transport : cloud_transport {
              cloud_transport::failure_sink) override {
     sink = std::move(on_complete);
   }
-  void send_batch(const std::vector<const request*>&,
-                  const std::vector<std::uint64_t>& wire_ids,
-                  const std::string&) override {
+  std::size_t send_batch(const std::vector<const request*>&,
+                         const std::vector<std::uint64_t>& wire_ids,
+                         const std::string&) override {
     frames.push_back(wire_ids);
+    return 0;
   }
   void stop() override { stopped.store(true); }
-  transport_counters counters() const override { return {}; }
 };
 
 TEST(transport, fault_spec_parses_every_key_and_rejects_garbage) {
@@ -1060,18 +1067,14 @@ TEST(transport, network_scorer_matches_local_backend_bit_exact) {
     expected[i] = local.infer(r);
   }
 
-  stub_server_config scfg;
-  scfg.kind = transport_kind::uds;
-  scfg.endpoint = unique_uds_path("network");
+  stub_server_config scfg = fixtures::uds_stub("network");
   scfg.workers = 2;
   scfg.max_cloud_batch = 8;
   stub_server stub(scfg, make_network_scorer_factory(model_cfg));
   stub.start();
 
   replay_cloud_backend fallback(std::vector<std::size_t>(n, 0));
-  link_config cfg;
-  cfg.transport = transport_kind::uds;
-  cfg.endpoint = scfg.endpoint;
+  link_config cfg = fixtures::uds_link(scfg.endpoint);
   cfg.coalesce_window_ms = 20.0;  // pack several appeals per frame
   cloud_channel channel(fallback, collab::cost_model{}, cfg, "bignet");
   std::mutex mutex;
@@ -1088,13 +1091,13 @@ TEST(transport, network_scorer_matches_local_backend_bit_exact) {
     });
   }
   channel.drain();
-  EXPECT_EQ(channel.counters().local_fallbacks, 0U);
+  EXPECT_EQ(channel.metrics().fallbacks.value(), 0U);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_EQ(got[i], expected[i]) << "prediction diverged for input " << i;
   }
   stub.stop();
-  EXPECT_EQ(stub.counters().scored, n);
-  EXPECT_EQ(stub.counters().expired, 0U);
+  EXPECT_EQ(stub.metrics().scored.value(), n);
+  EXPECT_EQ(stub.metrics().expired.value(), 0U);
   ::unlink(weights.c_str());
 }
 

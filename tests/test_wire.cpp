@@ -1,14 +1,20 @@
 // Wire-protocol tests: field-exact round trips, torn/partial reads
-// through the frame_splitter, malformed-stream rejection (bad magic /
-// version / type, oversized frames, truncated and tampered records), and
-// demux-relevant properties (ids survive arbitrary response ordering).
+// through the frame_splitter, malformed-stream rejection (bad magic,
+// any version but the one the build speaks, bad type, oversized frames,
+// truncated and tampered records), demux-relevant properties (ids
+// survive arbitrary response ordering), and a seeded mutation fuzz of the
+// splitter and both decoders.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include "serve/transport/wire.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -278,14 +284,13 @@ TEST(wire, rejects_dims_whose_product_overflows) {
   EXPECT_THROW(wire::decode_appeal_batch(*f), util::error);
 }
 
-TEST(wire, v3_appeal_trace_id_round_trips) {
+TEST(wire, appeal_trace_id_round_trips) {
   const tensor t = make_tensor();
   std::vector<wire::appeal_view> views = make_views(t);
   views[0].trace_id = 0xFEEDFACE12345678ULL;  // views[1] stays untraced
   const std::optional<wire::frame> f =
       split_one(wire::encode_appeal_batch(views));
   ASSERT_TRUE(f.has_value());
-  EXPECT_EQ(f->version, wire::kVersion);
   const std::vector<wire::appeal_record> decoded =
       wire::decode_appeal_batch(*f);
   ASSERT_EQ(decoded.size(), 2U);
@@ -293,7 +298,7 @@ TEST(wire, v3_appeal_trace_id_round_trips) {
   EXPECT_EQ(decoded[1].trace_id, 0U);
 }
 
-TEST(wire, v3_response_stage_split_round_trips) {
+TEST(wire, response_stage_split_round_trips) {
   wire::response_record r;
   r.id = 11;
   r.prediction = 4;
@@ -310,103 +315,52 @@ TEST(wire, v3_response_stage_split_round_trips) {
   EXPECT_DOUBLE_EQ(decoded[0].cloud_score_ms, 1.25);
 }
 
-TEST(wire, decodes_v2_appeal_frames_from_old_peers) {
-  // A v2 peer never sends trace ids; the trace_id on the view must not
-  // leak into the encoding and the decode must come back untraced.
-  const tensor t = make_tensor();
-  std::vector<wire::appeal_view> views = make_views(t);
-  views[0].trace_id = 42;
-  const std::vector<std::uint8_t> bytes =
-      wire::encode_appeal_batch(views, wire::kVersionV2);
-  EXPECT_EQ(bytes[4], wire::kVersionV2);
-  const std::optional<wire::frame> f = split_one(bytes);
-  ASSERT_TRUE(f.has_value());
-  EXPECT_EQ(f->version, wire::kVersionV2);
-  const std::vector<wire::appeal_record> decoded =
-      wire::decode_appeal_batch(*f);
-  ASSERT_EQ(decoded.size(), 2U);
-  EXPECT_EQ(decoded[0].trace_id, 0U);
-  // Every v1/v2-era field still round trips through the old framing.
-  EXPECT_EQ(decoded[0].id, 7U);
-  EXPECT_DOUBLE_EQ(decoded[0].deadline_ms, 12.5);
-  EXPECT_EQ(decoded[0].input.dims(), t.dims());
-}
-
-TEST(wire, decodes_v2_response_frames_from_old_peers) {
-  wire::response_record r;
-  r.id = 3;
-  r.prediction = 9;
-  r.cloud_ms = 1.5;
-  r.cloud_queue_ms = 7.0;  // v2 framing cannot carry these
-  r.cloud_score_ms = 8.0;
-  const std::vector<std::uint8_t> bytes =
-      wire::encode_response_batch({r}, wire::kVersionV2);
-  const std::optional<wire::frame> f = split_one(bytes);
-  ASSERT_TRUE(f.has_value());
-  EXPECT_EQ(f->version, wire::kVersionV2);
-  const std::vector<wire::response_record> decoded =
-      wire::decode_response_batch(*f);
-  ASSERT_EQ(decoded.size(), 1U);
-  EXPECT_EQ(decoded[0].prediction, 9U);
-  EXPECT_DOUBLE_EQ(decoded[0].cloud_ms, 1.5);
-  EXPECT_DOUBLE_EQ(decoded[0].cloud_queue_ms, 0.0);
-  EXPECT_DOUBLE_EQ(decoded[0].cloud_score_ms, 0.0);
-}
-
-TEST(wire, v4_overloaded_status_round_trips_with_retry_hint) {
-  // The v4 backpressure answer: `overloaded` plus the cloud's queue-wait
-  // estimate as a retry-after hint, alongside an ok record in the same
-  // frame (whose hint must stay zero).
+TEST(wire, overloaded_and_rejected_statuses_round_trip) {
+  // The backpressure answer: `overloaded` plus the cloud's queue-wait
+  // estimate as a retry-after hint, alongside a `rejected` split appeal
+  // and an ok record in the same frame (whose hints must stay zero).
   wire::response_record shed;
   shed.id = 21;
   shed.status = wire::response_status::overloaded;
   shed.retry_after_ms = 37.5;
+  wire::response_record rejected;
+  rejected.id = 23;
+  rejected.status = wire::response_status::rejected;
   wire::response_record ok;
   ok.id = 22;
   ok.prediction = 6;
   ok.cloud_ms = 1.5;
   const std::optional<wire::frame> f =
-      split_one(wire::encode_response_batch({shed, ok}));
+      split_one(wire::encode_response_batch({shed, ok, rejected}));
   ASSERT_TRUE(f.has_value());
-  EXPECT_EQ(f->version, wire::kVersion);
   const std::vector<wire::response_record> decoded =
       wire::decode_response_batch(*f);
-  ASSERT_EQ(decoded.size(), 2U);
+  ASSERT_EQ(decoded.size(), 3U);
   EXPECT_EQ(decoded[0].status, wire::response_status::overloaded);
   EXPECT_DOUBLE_EQ(decoded[0].retry_after_ms, 37.5);
   EXPECT_EQ(decoded[1].status, wire::response_status::ok);
   EXPECT_EQ(decoded[1].prediction, 6U);
   EXPECT_DOUBLE_EQ(decoded[1].retry_after_ms, 0.0);
+  EXPECT_EQ(decoded[2].status, wire::response_status::rejected);
 }
 
-TEST(wire, overloaded_downgrades_to_expired_for_old_peers) {
-  // v2/v3 framing has no `overloaded` status and no retry_after field: a
-  // stub answering an old edge downgrades the shed to `expired`, the
-  // strongest "no prediction for you" those dialects can express.
-  wire::response_record r;
-  r.id = 8;
-  r.status = wire::response_status::overloaded;
-  r.retry_after_ms = 12.0;
-  for (const std::uint8_t version : {wire::kVersionV2, wire::kVersionV3}) {
-    const std::vector<std::uint8_t> bytes =
-        wire::encode_response_batch({r}, version);
-    const std::optional<wire::frame> f = split_one(bytes);
-    ASSERT_TRUE(f.has_value());
-    EXPECT_EQ(f->version, version);
-    const std::vector<wire::response_record> decoded =
-        wire::decode_response_batch(*f);
-    ASSERT_EQ(decoded.size(), 1U);
-    EXPECT_EQ(decoded[0].status, wire::response_status::expired)
-        << "v" << int(version);
-    EXPECT_DOUBLE_EQ(decoded[0].retry_after_ms, 0.0);
-  }
-}
-
-TEST(wire, encoders_reject_unknown_versions) {
+TEST(wire, rejects_a_v4_frame_at_the_first_frame) {
+  // Both link ends ship from one source tree, so any other version is a
+  // mismatched peer: the splitter refuses its first frame outright and
+  // says which version it got and which it speaks.
   const tensor t = make_tensor();
-  EXPECT_THROW(wire::encode_appeal_batch(make_views(t), 1), util::error);
-  EXPECT_THROW(wire::encode_response_batch({}, wire::kVersion + 1),
-               util::error);
+  std::vector<std::uint8_t> old = wire::encode_appeal_batch(make_views(t));
+  old[4] = 4;
+  try {
+    (void)split_one(old);
+    FAIL() << "a v4 frame was accepted";
+  } catch (const util::error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("version 4"), std::string::npos) << what;
+    EXPECT_NE(what.find("version " + std::to_string(wire::kVersion)),
+              std::string::npos)
+        << what;
+  }
 }
 
 TEST(wire, decoders_reject_mismatched_frame_type) {
@@ -419,6 +373,164 @@ TEST(wire, decoders_reject_mismatched_frame_type) {
       split_one(wire::encode_appeal_batch(make_views(t)));
   ASSERT_TRUE(appeal.has_value());
   EXPECT_THROW(wire::decode_response_batch(*appeal), util::error);
+}
+
+// ---------------------------------------------------------------------------
+// Seeded mutation fuzzing of frame_splitter, decode_appeal_batch and
+// decode_response_batch. Valid frames of every shape the link carries are
+// mutated — bit flips, truncations, length-field edits, splices — and fed
+// to a splitter in random torn chunks. Every input must end in a clean
+// decode, a frame the splitter is still waiting on, or util::error; any
+// other exception fails the test, and the sanitizer builds turn an
+// out-of-bounds read or undefined arithmetic into a failure too. The seed
+// is fixed, so a failure reproduces exactly.
+// ---------------------------------------------------------------------------
+
+using frame_bytes = std::vector<std::uint8_t>;
+
+/// Valid frames covering every optional field and response status.
+std::vector<frame_bytes> seed_frames() {
+  static const tensor image =
+      tensor::from_values(shape{2, 3, 3}, std::vector<float>(18, 0.5F));
+  static const tensor feature =
+      tensor::from_values(shape{4, 2}, {1, 2, 3, 4, 5, 6, 7, 8});
+  std::vector<wire::appeal_view> appeals(4);  // [3] ships no pixels
+  for (std::size_t i = 0; i < 3; ++i) appeals[i].input = &image;
+  appeals[0].deadline_ms = 25.0;
+  appeals[0].model = "vision";
+  appeals[1].trace_id = 0xABCDEF;
+  appeals[1].priority = priority_class::batch;
+  appeals[2].split_cut = 2;
+  appeals[2].feature = &feature;
+  std::vector<wire::response_record> responses(4);
+  for (std::size_t i = 0; i < responses.size(); ++i) {
+    responses[i].id = i;
+    responses[i].status = static_cast<wire::response_status>(i);
+    responses[i].cloud_ms = 1.5;
+    responses[i].retry_after_ms = 12.0;
+  }
+  return {wire::encode_appeal_batch(appeals),
+          wire::encode_appeal_batch({appeals[2]}),
+          wire::encode_appeal_batch({}),
+          wire::encode_response_batch(responses)};
+}
+
+struct outcome_counts {
+  std::size_t decoded = 0;     // frames that decoded cleanly
+  std::size_t rejected = 0;    // inputs that ended in util::error
+  std::size_t incomplete = 0;  // inputs the splitter is still waiting on
+};
+
+/// Feeds `in` in random chunks and decodes every frame the splitter
+/// yields. Only util::error may escape the wire code.
+void consume(const frame_bytes& in, util::rng& gen, outcome_counts& counts) {
+  wire::frame_splitter splitter;
+  try {
+    for (std::size_t pos = 0; pos < in.size();) {
+      const std::size_t chunk =
+          1 + gen.uniform_index(std::min<std::size_t>(in.size() - pos, 64));
+      splitter.feed(in.data() + pos, chunk);
+      pos += chunk;
+      while (std::optional<wire::frame> f = splitter.next()) {
+        if (f->type == wire::frame_type::appeal_batch) {
+          (void)wire::decode_appeal_batch(*f);
+        } else {
+          (void)wire::decode_response_batch(*f);
+        }
+        ++counts.decoded;
+      }
+    }
+    if (splitter.buffered() > 0) ++counts.incomplete;
+  } catch (const util::error&) {
+    ++counts.rejected;
+  }
+}
+
+/// Writes a value on the edge of a length check over 4 bytes at `at`.
+void put_edge_u32(frame_bytes& b, std::size_t at, util::rng& gen) {
+  const std::uint32_t edges[] = {
+      0u, 1u, 9u, static_cast<std::uint32_t>(b.size()),
+      static_cast<std::uint32_t>(b.size() + 1), 0x7FFFFFFFu, 0xFFFFFFFFu,
+      static_cast<std::uint32_t>(wire::kMaxFrameBytes + 1),
+      static_cast<std::uint32_t>(gen.next_u64())};
+  const std::uint32_t v = edges[gen.uniform_index(std::size(edges))];
+  for (std::size_t i = 0; i < 4 && at + i < b.size(); ++i) {
+    b[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+  }
+}
+
+/// One mutation of a non-empty input.
+void mutate(frame_bytes& b, util::rng& gen) {
+  const std::size_t header = wire::kHeaderBytes;
+  switch (gen.uniform_index(5)) {
+    case 0:  // bit flips anywhere, header included
+      for (std::size_t i = 0, n = 1 + gen.uniform_index(8); i < n; ++i) {
+        b[gen.uniform_index(b.size())] ^=
+            static_cast<std::uint8_t>(1u << gen.uniform_index(8));
+      }
+      break;
+    case 1:  // truncation: the splitter must wait, not read past the end
+      b.resize(gen.uniform_index(b.size()));
+      break;
+    case 2:  // truncation with an honest header: records end mid-field
+      if (b.size() > header) {
+        b.resize(header + gen.uniform_index(b.size() - header));
+        const std::size_t payload = b.size() - header;
+        for (std::size_t i = 0; i < 4; ++i) {
+          b[8 + i] = static_cast<std::uint8_t>(payload >> (8 * i));
+        }
+      }
+      break;
+    case 3:  // a length field: count, payload_bytes, or any record word
+      put_edge_u32(b, gen.bernoulli(0.5) ? 6 + 2 * gen.uniform_index(2)
+                                         : gen.uniform_index(b.size()),
+                   gen);
+      break;
+    default: {  // splice random bytes in
+      frame_bytes junk(1 + gen.uniform_index(16));
+      for (std::uint8_t& x : junk) {
+        x = static_cast<std::uint8_t>(gen.next_u64());
+      }
+      const std::size_t at = gen.uniform_index(b.size() + 1);
+      b.insert(b.begin() + static_cast<std::ptrdiff_t>(at), junk.begin(),
+               junk.end());
+    }
+  }
+}
+
+TEST(wire_fuzz, torn_valid_streams_decode_every_frame) {
+  util::rng gen(0xF00D);
+  const std::vector<frame_bytes> seeds = seed_frames();
+  frame_bytes stream;
+  for (const frame_bytes& f : seeds) {
+    stream.insert(stream.end(), f.begin(), f.end());
+  }
+  for (int round = 0; round < 200; ++round) {
+    outcome_counts counts;
+    consume(stream, gen, counts);
+    ASSERT_EQ(counts.decoded, seeds.size()) << "round " << round;
+    ASSERT_EQ(counts.rejected + counts.incomplete, 0U) << "round " << round;
+  }
+}
+
+TEST(wire_fuzz, mutated_frames_decode_or_raise_util_error) {
+  util::rng gen(0x5EED5);
+  const std::vector<frame_bytes> seeds = seed_frames();
+  outcome_counts counts;
+  for (int round = 0; round < 20000; ++round) {
+    frame_bytes input = seeds[gen.uniform_index(seeds.size())];
+    if (gen.bernoulli(0.2)) {  // two frames back to back
+      const frame_bytes& more = seeds[gen.uniform_index(seeds.size())];
+      input.insert(input.end(), more.begin(), more.end());
+    }
+    std::size_t mutations = 1 + gen.uniform_index(3);
+    while (mutations-- > 0 && !input.empty()) mutate(input, gen);
+    consume(input, gen, counts);
+  }
+  // The loop must reach every outcome, or it is not testing much.
+  EXPECT_GT(counts.decoded, 0U);
+  EXPECT_GT(counts.rejected, 0U);
+  EXPECT_GT(counts.incomplete, 0U);
 }
 
 }  // namespace

@@ -45,9 +45,9 @@
 //       [--max_queue_depth=4096] [--max_batch_queue_depth=0]
 //       [--shed_projected=1] [--metrics=<port|uds-path>]
 //
-// --metrics serves the stub's registry instruments (appeals received,
-// scored/expired/overloaded, work-queue depth) as a Prometheus /metrics
-// endpoint for the lifetime of the process.
+// --metrics serves the stub's registry — every count it keeps, from
+// appeals received to bytes written — as a Prometheus /metrics endpoint
+// for the lifetime of the process.
 #include <csignal>
 #include <cstdio>
 #include <memory>
@@ -160,7 +160,7 @@ int main(int argc, char** argv) try {
   const std::string metrics_endpoint = args.get_string_or("metrics", "");
   if (!metrics_endpoint.empty()) {
     metrics_server = std::make_unique<obs::metrics_http_server>(
-        obs::default_registry(), metrics_endpoint);
+        server.registry(), metrics_endpoint);
     std::printf("cloud_stub metrics on %s (port %u)\n",
                 metrics_endpoint.c_str(),
                 static_cast<unsigned>(metrics_server->port()));
@@ -185,14 +185,18 @@ int main(int argc, char** argv) try {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }
   server.stop();
-  const serve::stub_server_counters c = server.counters();
+  const serve::stub_metrics& m = server.metrics();
+  const auto n = [](const obs::counter& c) {
+    return static_cast<unsigned long long>(c.value());
+  };
   std::printf(
-      "cloud_stub served %zu appeals in %zu frames over %zu connections: "
-      "%zu scored in %zu cloud batches, %zu shed expired, %zu shed at the "
-      "full queue, %zu shed on projected deadline misses "
-      "(%zu B in / %zu B out)\n",
-      c.appeals, c.batches, c.connections, c.scored, c.cloud_batches,
-      c.expired, c.overloaded, c.projected, c.bytes_received, c.bytes_sent);
+      "cloud_stub served %llu appeals in %llu frames over %llu connections: "
+      "%llu scored in %llu cloud batches, %llu shed expired, %llu shed at "
+      "the full queue, %llu shed on projected deadline misses "
+      "(%llu B in / %llu B out)\n",
+      n(m.appeals), n(m.batches), n(m.connections), n(m.scored),
+      n(m.cloud_batches), n(m.expired), n(m.overloaded), n(m.projected),
+      n(m.rx_bytes), n(m.tx_bytes));
   return 0;
 } catch (const std::exception& e) {
   // Bad flags, unbindable endpoint, missing/mismatched weights: a usable
