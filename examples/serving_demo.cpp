@@ -17,12 +17,12 @@
 // scorer answers the appeals; the trained big network remains the local
 // fallback if the link drops. To make the socket mode answer from the
 // REAL trained big model end to end, export its weights once and hand
-// them to the stub:
+// them to the stub (an indented line continues the command above it):
 //
 //   ./example_serving_demo --save_big=/tmp/big.apnw           # train + save
-//   ./build/cloud_stub --listen=uds:/tmp/appeal-cloud.sock \
+//   ./build/cloud_stub --listen=uds:/tmp/appeal-cloud.sock
 //       --scorer=network --weights=/tmp/big.apnw --workers=2 &
-//   ./example_serving_demo --transport=uds \
+//   ./example_serving_demo --transport=uds
 //       --endpoint=/tmp/appeal-cloud.sock
 //
 // (Training is deterministic, so the second run trains the same system

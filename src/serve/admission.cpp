@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/error.hpp"
 
@@ -26,20 +27,28 @@ const char* policy_name(admission_policy p) {
   return "unknown";
 }
 
-obs::counter& verdict_counter(admission_policy p, const char* verdict) {
-  return obs::default_registry().get_counter(
-      "appeal_admission_total", {{"policy", policy_name(p)},
-                                 {"verdict", verdict}},
-      "admission verdicts at submit(), by policy");
+obs::counter& verdict_counter(obs::metrics_registry& registry,
+                              const std::string& deployment,
+                              admission_policy p, const char* verdict) {
+  obs::label_set labels;
+  if (!deployment.empty()) labels.emplace_back("deployment", deployment);
+  labels.emplace_back("policy", policy_name(p));
+  labels.emplace_back("verdict", verdict);
+  return registry.get_counter("appeal_admission_total", std::move(labels),
+                              "admission verdicts at submit(), by policy");
 }
 
 }  // namespace
 
-admission_controller::admission_controller(const admission_config& cfg)
+admission_controller::admission_controller(const admission_config& cfg,
+                                           obs::metrics_registry& registry,
+                                           const std::string& deployment)
     : config_(cfg),
-      metric_admitted_(verdict_counter(cfg.policy, "admitted")),
-      metric_degraded_(verdict_counter(cfg.policy, "degraded")),
-      metric_shed_(verdict_counter(cfg.policy, "shed")) {
+      metric_admitted_(
+          verdict_counter(registry, deployment, cfg.policy, "admitted")),
+      metric_degraded_(
+          verdict_counter(registry, deployment, cfg.policy, "degraded")),
+      metric_shed_(verdict_counter(registry, deployment, cfg.policy, "shed")) {
   APPEAL_CHECK(cfg.batch_headroom > 0.0 && cfg.batch_headroom <= 1.0,
                "batch_headroom must be in (0, 1]");
   APPEAL_CHECK(cfg.degrade_headroom >= 1.0,
@@ -55,15 +64,12 @@ admission_controller::admission_controller(const admission_config& cfg)
 admission_verdict admission_controller::count(admission_verdict v) {
   switch (v) {
     case admission_verdict::admitted:
-      admitted_.fetch_add(1, std::memory_order_relaxed);
       metric_admitted_.add(1);
       break;
     case admission_verdict::degraded:
-      degraded_.fetch_add(1, std::memory_order_relaxed);
       metric_degraded_.add(1);
       break;
     case admission_verdict::shed:
-      shed_.fetch_add(1, std::memory_order_relaxed);
       metric_shed_.add(1);
       break;
     case admission_verdict::closed:

@@ -32,6 +32,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <string>
 
 #include "obs/metrics.hpp"
 #include "serve/request.hpp"
@@ -60,13 +61,15 @@ struct admission_config {
 /// What happened to a request at the admission boundary.
 enum class admission_verdict { admitted, degraded, shed, closed };
 
-/// Applies one admission_config at one queue. Thread-safe; the verdict
-/// counters are cheap introspection for tests and stats renders (the
-/// canonical shed/degraded counts live in serve_stats, fed by the
-/// engine at completion time).
+/// Applies one admission_config at one queue. Thread-safe. Each verdict
+/// counts once, in `appeal_admission_total{deployment,policy,verdict}` of
+/// the owner's registry (no deployment label when `deployment` is empty);
+/// the shards of one deployment share those counters.
 class admission_controller {
  public:
-  explicit admission_controller(const admission_config& cfg);
+  admission_controller(const admission_config& cfg,
+                       obs::metrics_registry& registry,
+                       const std::string& deployment);
 
   /// Decides and performs the enqueue. On `admitted`/`degraded` the
   /// request has been moved into the queue (degraded requests have
@@ -85,25 +88,11 @@ class admission_controller {
     return pressure_.load(std::memory_order_relaxed);
   }
 
-  std::size_t admitted() const {
-    return admitted_.load(std::memory_order_relaxed);
-  }
-  std::size_t degraded() const {
-    return degraded_.load(std::memory_order_relaxed);
-  }
-  std::size_t shed() const { return shed_.load(std::memory_order_relaxed); }
-
  private:
   admission_verdict count(admission_verdict v);
 
   admission_config config_;
   std::atomic<bool> pressure_{false};
-  std::atomic<std::size_t> admitted_{0};
-  std::atomic<std::size_t> degraded_{0};
-  std::atomic<std::size_t> shed_{0};
-  /// Registry mirrors of the verdict counters, labeled {policy=...}. The
-  /// local atomics stay authoritative for per-instance reads (several
-  /// engines with the same policy share one registry instrument).
   obs::counter& metric_admitted_;
   obs::counter& metric_degraded_;
   obs::counter& metric_shed_;

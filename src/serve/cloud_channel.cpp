@@ -620,8 +620,9 @@ std::uint32_t cloud_channel::choose_cut_locked() {
     // comm_ms_per_kb until the first send warms the EMA); cloud compute
     // is the suffix past the cut; the cloud-wait EMA rides every
     // candidate equally but keeps the cost an honest latency estimate.
-    // Edge prefix compute is NOT charged — the cut reuses backbone
-    // compute the edge already paid for.
+    // The prefix is NOT charged, although it is not free: it is
+    // cloud-model compute that this channel's thread runs on the edge
+    // for every split appeal, so the deepest cut always looks cheapest.
     const auto uplink_ms = [&](double bytes) {
       return bw_ema_bytes_per_ms_ > 0.0
                  ? bytes / bw_ema_bytes_per_ms_

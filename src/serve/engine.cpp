@@ -50,6 +50,17 @@ void apply_gemm_threads(const engine_config& cfg) {
       .set(static_cast<double>(ops::gemm_threads()));
 }
 
+/// The occupancy gauge of the queue in front of pipeline node `node`. A
+/// deployment's shards share it, each adding its own queue's depth.
+obs::gauge& node_gauge(obs::metrics_registry& registry,
+                       const std::string& deployment, const char* node) {
+  obs::label_set labels;
+  if (!deployment.empty()) labels.emplace_back("deployment", deployment);
+  labels.emplace_back("node", node);
+  return registry.get_gauge("appeal_node_queue_depth", std::move(labels),
+                            "requests queued in front of this node");
+}
+
 /// Resolves the per-worker backend pointers from an engine_resources:
 /// one shared backend fanned out, or exactly one owned backend per
 /// worker.
@@ -132,10 +143,11 @@ engine::engine(const engine_config& cfg, engine_resources&& res)
       owned_cloud_(std::move(res.owned_cloud)),
       edge_backends_(resolve_edge_backends(res.shared_edge, owned_edge_,
                                            cfg.num_workers)),
-      queue_(cfg.queue_capacity),
       registry_(res.shared_stats != nullptr
                     ? res.shared_stats->registry()
                     : owner_registry(cfg.stats.deployment, own_registry_)),
+      queue_(cfg.queue_capacity,
+             &node_gauge(registry_, cfg.stats.deployment, "batch_former")),
       owned_controller_(res.shared_controller != nullptr
                             ? nullptr
                             : std::make_unique<threshold_controller>(
@@ -152,28 +164,15 @@ engine::engine(const engine_config& cfg, engine_resources&& res)
                                                        channel_->metrics())),
       stats_(res.shared_stats != nullptr ? res.shared_stats
                                          : owned_stats_.get()),
-      admission_(cfg.admission),
-      cloud_node_(registry_, cfg.stats.deployment, *channel_, *controller_,
-                  cfg.shard_id, cfg.pipeline.appeal_queue_depth, completion()),
-      decide_node_(registry_, cfg.stats.deployment, *controller_,
-                   cfg.shard_id, cfg.pipeline.decide_queue_depth,
-                   cloud_node_.input(), completion()),
-      edge_node_(registry_, cfg.stats.deployment, edge_backends_,
-                 cfg.simulate_edge_compute,
-                 config_.link.overall_latency_ms(1.0),
-                 cfg.channel.time_scale, cfg.pipeline.batch_queue_depth,
-                 decide_node_.input()),
-      batch_node_(registry_, cfg.stats.deployment, queue_, cfg.batching,
-                  edge_node_.input()),
-      ingress_node_(registry_, cfg.stats.deployment, admission_, queue_,
-                    cfg.shard_id, completion()) {
+      admission_(cfg.admission, registry_, cfg.stats.deployment),
+      ingress_(registry_, cfg.stats.deployment, admission_, queue_,
+               cfg.shard_id, completion()),
+      workers_(registry_, cfg.stats.deployment, queue_, cfg.batching,
+               edge_backends_, cfg.simulate_edge_compute,
+               config_.link.overall_latency_ms(1.0), cfg.channel.time_scale,
+               *controller_, *channel_, cfg.shard_id, completion()) {
   apply_gemm_threads(config_);
-  graph_.add(ingress_node_);
-  graph_.add(batch_node_);
-  graph_.add(edge_node_);
-  graph_.add(decide_node_);
-  graph_.add(cloud_node_);
-  graph_.start_all();
+  workers_.start();
 }
 
 engine::~engine() { shutdown(); }
@@ -204,7 +203,7 @@ std::future<response> engine::submit(inference_request&& req) {
   // signal is fresh at every admission decision.
   admission_.set_cloud_pressure(channel_->under_pressure());
   outstanding_.fetch_add(1, std::memory_order_acq_rel);
-  if (ingress_node_.submit(std::move(r)) != admission_verdict::closed) {
+  if (ingress_.submit(std::move(r)) != admission_verdict::closed) {
     return future;  // admitted, degraded, or shed-and-completed
   }
   if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
@@ -233,11 +232,18 @@ void engine::shutdown() {
     if (shut_down_) return;
     shut_down_ = true;
   }
-  // Topological drain: each stage's input closes only after the previous
-  // stage finished pushing into it, so nothing in flight is stranded;
-  // the channel drain then waits out the appeals the sink handed off.
-  graph_.drain_and_stop();
+  // A closed queue still hands out what it holds, so the workers finish
+  // every admitted request before they exit; the channel drain then
+  // waits out the appeals they handed off.
+  queue_.close();
+  workers_.join();
   channel_->drain();
+}
+
+std::vector<pipeline::node_stats> engine::node_stats() const {
+  std::vector<pipeline::node_stats> nodes = workers_.stats();
+  nodes.insert(nodes.begin(), ingress_.stats());
+  return nodes;
 }
 
 void engine::complete(request&& r, response&& resp) {

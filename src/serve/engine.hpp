@@ -1,24 +1,25 @@
 // The online edge/cloud collaborative inference engine (one shard).
 //
-// The engine is a pipeline graph of five bounded, backpressured stages
-// (src/serve/pipeline/):
-//
 //   submit() -> [ingress]       admission verdict (block / shed / degrade)
-//            -> [batch_former]  request_queue -> dynamic batch
-//            -> [edge_infer]    worker pool, one edge_backend per thread
-//            -> [appeal_decide] deadline check + score >= δ
-//            -> [cloud_appeal]  cloud_channel -> cloud_backend
+//            -> request_queue   the one place work waits (bounded)
+//            -> edge worker ×N  each runs the whole edge path inline:
+//                 [batch_former]  work-conserving batch off the queue
+//                 [edge_infer]    two-head forward, one backend per worker
+//                 [appeal_decide] deadline check + score >= δ
+//                 [cloud_appeal]  cloud_channel::appeal (never blocks)
 //
-// Requests leave the graph (promise fulfilled, serve_stats fed) at three
-// egress points: ingress (admission shed), appeal_decide (edge-kept,
-// degraded, and expired), and cloud_appeal (appeals, including
-// cloud-expired ones). Every stage hand-off is a bounded node_queue, so
-// overload backs up hop by hop until admission sheds at the front door;
-// per-node in/out/egress ledgers (appeal_node_* metrics) let a scrape
-// pinpoint the stage where traffic queues or leaks. The engine itself is
-// graph assembly + config + the completion path; the threshold_controller
-// watches per-batch scores and steers δ toward the configured
-// skipping-rate target (or latency SLO).
+// Requests leave (promise fulfilled, serve_stats fed) at three egress
+// points: ingress (admission shed), appeal_decide (edge-kept, degraded
+// and expired), and cloud_appeal (appeals, including cloud-expired
+// ones, completed by the channel's callback). The five bracketed names
+// are pipeline nodes in the ledger sense only (pipeline/node_ledger.hpp):
+// each is stamped where a request crosses it, so the appeal_node_*
+// metrics still check every hand-off, but no node has a thread or a
+// queue of its own. A busy pool leaves the bounded request_queue full
+// and admission reacts at the front door. The engine itself is assembly
+// + config + the completion path; the threshold_controller watches
+// per-batch scores and steers δ toward the configured skipping-rate
+// target (or latency SLO).
 //
 // Ownership: engine_resources says what the engine owns vs shares. A
 // standalone engine owns its channel/controller/stats; a serve::deployment
@@ -28,12 +29,10 @@
 // deployment's, or for a standalone engine owner_registry() of its
 // cfg.stats.deployment name (a registry of its own when unnamed).
 //
-// Threading: `num_workers` edge-infer threads pull batches concurrently
-// (one backend per worker so stateful backends such as
-// network_edge_backend stay single-threaded, each with its thread-local
-// nn::inference_workspace arena); one batch-former thread, one decide
-// thread, one appeal hand-off thread, and the channel's transport threads
-// complete the picture.
+// Threading: `num_workers` edge worker threads (one backend per worker
+// so stateful backends such as network_edge_backend stay
+// single-threaded, each with its thread-local nn::inference_workspace
+// arena), plus the channel's coalescing and transport threads.
 #pragma once
 
 #include <atomic>
@@ -51,7 +50,6 @@
 #include "serve/backends.hpp"
 #include "serve/batcher.hpp"
 #include "serve/cloud_channel.hpp"
-#include "serve/pipeline/pipeline_node.hpp"
 #include "serve/pipeline/stage_nodes.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/serve_stats.hpp"
@@ -63,28 +61,11 @@ namespace appeal::serve {
 using worker_edge_factory =
     std::function<std::unique_ptr<edge_backend>(std::size_t worker)>;
 
-/// Capacities of the bounded queues between pipeline stages, in items of
-/// the stage's own granularity (formed batches, scored batches, single
-/// appeals). Small on purpose: the queues are hand-off points, not
-/// buffers — the request_queue (engine_config::queue_capacity) is where
-/// work waits, and a deep internal queue would only hide backpressure
-/// from admission.
-struct pipeline_config {
-  /// Formed batches awaiting an edge worker.
-  std::size_t batch_queue_depth = 4;
-  /// Scored batches awaiting the δ decision.
-  std::size_t decide_queue_depth = 8;
-  /// Decided appeals awaiting hand-off to the cloud_channel.
-  std::size_t appeal_queue_depth = 256;
-};
-
 struct engine_config {
   batch_policy batching;
   std::size_t num_workers = 2;
   std::size_t queue_capacity = 1024;
   admission_config admission;     // full-queue policy at submit()
-  /// Bounded hand-off queues between the pipeline stages.
-  pipeline_config pipeline;
   threshold_config threshold;
   collab::cost_model link;        // cost model: edge/cloud compute + uplink
   /// Cloud-link setup: transport (sim | uds | tcp), endpoint, coalescing
@@ -154,7 +135,7 @@ struct engine_resources {
 
 class engine {
  public:
-  /// The one constructor: cfg describes the graph, res supplies (or
+  /// The one constructor: cfg describes the shard, res supplies (or
   /// names) what it runs on. See engine_resources for the resolution
   /// rules.
   engine(const engine_config& cfg, engine_resources&& res);
@@ -186,23 +167,21 @@ class engine {
   /// returned, so every counter of those requests has landed.
   void drain();
 
-  /// Stops accepting work, drains the pipeline graph in topological
-  /// order, and joins all threads. Idempotent; also invoked by the
-  /// destructor.
+  /// Stops accepting work, lets the workers finish everything queued,
+  /// joins them, and waits out the appeals they handed to the channel.
+  /// Idempotent; also invoked by the destructor.
   void shutdown();
 
   /// The stats window: request counters, latency, and the cloud link's
   /// wire counters (bytes, batches, appeals/batch, local fallbacks).
   stats_snapshot snapshot() const { return stats_->snapshot(); }
 
-  /// Per-node conservation ledgers (in/out/egress per pipeline stage),
-  /// in topological order, read from the node instruments. A
+  /// Per-node conservation ledgers (in/out/egress per pipeline node),
+  /// in pipeline order, read from the node instruments. A
   /// deployment's shards share those instruments, so a shard reports the
   /// deployment's ledger. Once drained: in == out + egress at every node
   /// and the egress sum equals the submitted count.
-  std::vector<pipeline::node_stats> node_stats() const {
-    return graph_.stats();
-  }
+  std::vector<pipeline::node_stats> node_stats() const;
 
   /// The cloud link this engine appeals over (shared across shards when
   /// the engine belongs to a deployment).
@@ -213,7 +192,6 @@ class engine {
   /// The threshold controller keeps its state.
   void reset_stats() { stats_->reset(); }
   threshold_controller& controller() { return *controller_; }
-  const admission_controller& admission() const { return admission_; }
   const engine_config& config() const { return config_; }
 
   /// Approximate instantaneous queue depth (the least-loaded router's
@@ -229,10 +207,10 @@ class engine {
   std::vector<std::unique_ptr<edge_backend>> owned_edge_;
   std::unique_ptr<cloud_backend> owned_cloud_;
   std::vector<edge_backend*> edge_backends_;
-  request_queue queue_;
   /// Set only for an unnamed standalone engine (see owner_registry()).
   std::unique_ptr<obs::metrics_registry> own_registry_;
   obs::metrics_registry& registry_;
+  request_queue queue_;
   std::unique_ptr<threshold_controller> owned_controller_;
   threshold_controller* controller_;
   std::unique_ptr<cloud_channel> owned_channel_;
@@ -248,14 +226,8 @@ class engine {
   bool shut_down_ = false;
   std::mutex shutdown_mutex_;
 
-  // The graph, downstream stages first so each upstream node can take a
-  // reference to its successor's input queue at construction.
-  pipeline::cloud_appeal_node cloud_node_;
-  pipeline::appeal_decide_node decide_node_;
-  pipeline::edge_infer_node edge_node_;
-  pipeline::batch_former_node batch_node_;
-  pipeline::ingress_node ingress_node_;
-  pipeline::pipeline_graph graph_;
+  pipeline::ingress_node ingress_;
+  pipeline::edge_workers workers_;
 };
 
 }  // namespace appeal::serve

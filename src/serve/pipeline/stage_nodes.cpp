@@ -1,6 +1,5 @@
 #include "serve/pipeline/stage_nodes.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -16,17 +15,6 @@ double ms_between(clock::time_point from, clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
-obs::gauge* depth_gauge(obs::metrics_registry& registry,
-                        const std::string& deployment,
-                        const std::string& node) {
-  obs::label_set labels;
-  if (!deployment.empty()) labels.emplace_back("deployment", deployment);
-  labels.emplace_back("node", node);
-  return &registry.get_gauge(
-      "appeal_node_queue_depth", std::move(labels),
-      "instantaneous occupancy of this node's input queue");
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------- ingress
@@ -36,7 +24,7 @@ ingress_node::ingress_node(obs::metrics_registry& registry,
                            admission_controller& admission,
                            request_queue& queue, std::size_t shard_id,
                            complete_fn complete)
-    : pipeline_node("ingress", registry, deployment),
+    : ledger_("ingress", registry, deployment),
       admission_(admission),
       queue_(queue),
       shard_id_(shard_id),
@@ -45,18 +33,18 @@ ingress_node::ingress_node(obs::metrics_registry& registry,
 admission_verdict ingress_node::submit(request&& r) {
   const admission_verdict verdict = admission_.try_admit(queue_, r);
   if (verdict == admission_verdict::closed) return verdict;
-  count_in();
+  ledger_.count_in();
   switch (verdict) {
     case admission_verdict::admitted:
     case admission_verdict::degraded:
-      count_out();
+      ledger_.count_out();
       break;
     case admission_verdict::shed: {
       response resp;
       resp.id = r.id;
       resp.status = request_status::shed;
       resp.shard = shard_id_;
-      count_egress();
+      ledger_.count_egress();
       complete_(std::move(r), std::move(resp));
       break;
     }
@@ -66,98 +54,79 @@ admission_verdict ingress_node::submit(request&& r) {
   return verdict;
 }
 
-// ----------------------------------------------------------- batch former
+// ------------------------------------------------------------ edge workers
 
-batch_former_node::batch_former_node(obs::metrics_registry& registry,
-                                     const std::string& deployment,
-                                     request_queue& queue,
-                                     const batch_policy& policy,
-                                     node_queue<batch>& downstream)
-    : pipeline_node("batch_former", registry, deployment),
+edge_workers::edge_workers(obs::metrics_registry& registry,
+                           const std::string& deployment, request_queue& queue,
+                           const batch_policy& policy,
+                           std::vector<edge_backend*> backends,
+                           bool simulate_edge_compute, double edge_ms,
+                           double time_scale, threshold_controller& controller,
+                           cloud_channel& channel, std::size_t shard_id,
+                           complete_fn complete)
+    : batch_former_("batch_former", registry, deployment),
+      edge_infer_("edge_infer", registry, deployment),
+      appeal_decide_("appeal_decide", registry, deployment),
+      cloud_appeal_("cloud_appeal", registry, deployment),
       queue_(queue),
       policy_(policy),
-      downstream_(downstream) {}
-
-void batch_former_node::start() {
-  thread_ = std::thread([this] {
-    batcher form(queue_, policy_);
-    for (;;) {
-      batch b = form.next_batch();
-      if (b.empty()) return;  // request_queue closed and drained
-      const std::uint64_t n = b.requests.size();
-      count_in(n);
-      if (!downstream_.push(std::move(b))) return;
-      count_out(n);
-    }
-  });
-}
-
-void batch_former_node::join() {
-  if (thread_.joinable()) thread_.join();
-}
-
-// ------------------------------------------------------------- edge infer
-
-edge_infer_node::edge_infer_node(obs::metrics_registry& registry,
-                                 const std::string& deployment,
-                                 std::vector<edge_backend*> backends,
-                                 bool simulate_edge_compute, double edge_ms,
-                                 double time_scale, std::size_t queue_depth,
-                                 node_queue<scored_batch>& downstream)
-    : pipeline_node("edge_infer", registry, deployment),
+      roster_(backends.size()),
       backends_(std::move(backends)),
       simulate_edge_compute_(simulate_edge_compute),
       edge_ms_(edge_ms),
       time_scale_(time_scale),
-      input_(queue_depth, depth_gauge(registry, deployment, "edge_infer")),
-      downstream_(downstream) {
-  APPEAL_CHECK(!backends_.empty(), "edge_infer_node needs backends");
+      controller_(controller),
+      channel_(channel),
+      shard_id_(shard_id),
+      complete_(std::move(complete)) {
+  APPEAL_CHECK(!backends_.empty(), "edge_workers needs backends");
   for (edge_backend* backend : backends_) {
     APPEAL_CHECK(backend != nullptr, "edge backend must not be null");
   }
 }
 
-void edge_infer_node::start() {
+void edge_workers::start() {
   threads_.reserve(backends_.size());
   for (edge_backend* backend : backends_) {
-    threads_.emplace_back([this, backend] { worker(*backend); });
+    threads_.emplace_back([this, backend] { run(*backend); });
   }
 }
 
-void edge_infer_node::join() {
+void edge_workers::join() {
   for (std::thread& t : threads_) {
     if (t.joinable()) t.join();
   }
 }
 
-void edge_infer_node::worker(edge_backend& backend) {
-  for (;;) {
-    batch b;
-    if (input_.pop(b) == node_queue<batch>::pop_result::closed) return;
-    count_in(b.requests.size());
+std::vector<node_stats> edge_workers::stats() const {
+  return {batch_former_.stats(), edge_infer_.stats(), appeal_decide_.stats(),
+          cloud_appeal_.stats()};
+}
 
-    // Partition expired members out BEFORE inference (they get no
-    // prediction) while keeping arrival order in the outgoing
-    // scored_batch — the decide stage sees the same score order the
-    // monolithic worker fed the controller.
-    scored_batch sb;
-    sb.items.resize(b.requests.size());
-    std::vector<request> live;
-    std::vector<std::size_t> live_slot;
-    live.reserve(b.requests.size());
-    live_slot.reserve(b.requests.size());
+void edge_workers::run(edge_backend& backend) {
+  batcher form(queue_, policy_, roster_);
+  std::vector<request> live;
+  std::vector<request> expired;
+  for (;;) {
+    batch b = form.next_batch();
+    if (b.empty()) return;  // request_queue closed and drained
+    const std::uint64_t n = b.requests.size();
+    batch_former_.count_in(n);
+    batch_former_.count_out(n);
+    edge_infer_.count_in(n);
+
+    // Expired members get no inference; the rest keep arrival order, so
+    // the controller sees the scores in the order they arrived.
+    live.clear();
+    expired.clear();
     const clock::time_point now = clock::now();
-    for (std::size_t i = 0; i < b.requests.size(); ++i) {
-      request& r = b.requests[i];
-      if (r.deadline != request::no_deadline && now > r.deadline) {
-        sb.items[i].req = std::move(r);
-        sb.items[i].expired = true;
-      } else {
-        live_slot.push_back(i);
-        live.push_back(std::move(r));
-      }
+    for (request& r : b.requests) {
+      const bool late = r.deadline != request::no_deadline && now > r.deadline;
+      (late ? expired : live).push_back(std::move(r));
     }
 
+    edge_inference inference;
+    clock::time_point infer_end = now;
     if (!live.empty()) {
       const clock::time_point infer_start = clock::now();
       for (request& r : live) {
@@ -168,12 +137,10 @@ void edge_infer_node::worker(edge_backend& backend) {
                        ms_between(r.dequeue_time, infer_start));
         }
       }
-
-      const edge_inference inference = backend.infer(live);
+      inference = backend.infer(live);
       APPEAL_CHECK(inference.predictions.size() == live.size() &&
                        inference.scores.size() == live.size(),
                    "edge backend must return one result per request");
-
       if (simulate_edge_compute_) {
         const double scaled = edge_ms_ * time_scale_;
         if (scaled > 0.0) {
@@ -183,185 +150,72 @@ void edge_infer_node::worker(edge_backend& backend) {
       }
       // The simulated accelerator pass (when on) is part of the edge
       // forward as far as attribution goes.
-      const clock::time_point infer_end = clock::now();
-      for (std::size_t i = 0; i < live.size(); ++i) {
-        request& r = live[i];
+      infer_end = clock::now();
+      for (request& r : live) {
         if (r.trace != nullptr) {
           r.trace->set(obs::stage::edge_infer,
                        ms_between(infer_start, infer_end));
         }
-        scored_item& slot = sb.items[live_slot[i]];
-        slot.req = std::move(r);
-        slot.prediction = inference.predictions[i];
-        slot.score = inference.scores[i];
-      }
-      sb.infer_end = infer_end;
-    } else {
-      sb.infer_end = now;
-    }
-
-    const std::uint64_t n = sb.items.size();
-    if (!downstream_.push(std::move(sb))) return;
-    count_out(n);
-  }
-}
-
-// ---------------------------------------------------------- appeal decide
-
-appeal_decide_node::appeal_decide_node(obs::metrics_registry& registry,
-                                       const std::string& deployment,
-                                       threshold_controller& controller,
-                                       std::size_t shard_id,
-                                       std::size_t queue_depth,
-                                       node_queue<appeal_item>& downstream,
-                                       complete_fn complete)
-    : pipeline_node("appeal_decide", registry, deployment),
-      controller_(controller),
-      shard_id_(shard_id),
-      input_(queue_depth, depth_gauge(registry, deployment, "appeal_decide")),
-      downstream_(downstream),
-      complete_(std::move(complete)) {}
-
-void appeal_decide_node::start() {
-  thread_ = std::thread([this] { worker(); });
-}
-
-void appeal_decide_node::join() {
-  if (thread_.joinable()) thread_.join();
-}
-
-void appeal_decide_node::worker() {
-  for (;;) {
-    scored_batch sb;
-    if (input_.pop(sb) == node_queue<scored_batch>::pop_result::closed) {
-      return;
-    }
-    count_in(sb.items.size());
-
-    // One δ for the whole batch: the decision the paper's predictor head
-    // makes per input, applied at batch granularity. Degraded-admission
-    // requests bypass the decision entirely (they may never appeal) and
-    // are excluded from the controller's observation — both the skip
-    // count and the score denominator — so observed_sr stays the rate
-    // over δ-decided traffic. Expired members are excluded from
-    // everything (they were never scored).
-    const double delta = controller_.delta();
-    bool any_forced = false;
-    bool any_live = false;
-    std::vector<double> all_scores;
-    std::vector<double> decided_scores;
-    all_scores.reserve(sb.items.size());
-    for (const scored_item& it : sb.items) {
-      if (it.expired) continue;
-      any_live = true;
-      all_scores.push_back(it.score);
-      if (it.req.force_edge) any_forced = true;
-    }
-    if (any_forced) {
-      decided_scores.reserve(all_scores.size());
-      for (const scored_item& it : sb.items) {
-        if (!it.expired && !it.req.force_edge) {
-          decided_scores.push_back(it.score);
-        }
       }
     }
+    edge_infer_.count_out(n);
+    appeal_decide_.count_in(n);
 
-    std::size_t skipped = 0;
-    for (scored_item& it : sb.items) {
-      request& r = it.req;
-      const double queue_ms = ms_between(r.enqueue_time, r.dequeue_time);
-      if (it.expired) {
-        response resp;
-        resp.id = r.id;
-        resp.status = request_status::expired;
-        resp.shard = shard_id_;
-        resp.queue_ms = queue_ms;
-        if (r.trace != nullptr) {
-          r.trace->set(obs::stage::queue_wait, resp.queue_ms);
-        }
-        count_egress();
-        complete_(std::move(r), std::move(resp));
-        continue;
-      }
+    for (request& r : expired) {
+      response resp;
+      resp.id = r.id;
+      resp.status = request_status::expired;
+      resp.shard = shard_id_;
+      resp.queue_ms = ms_between(r.enqueue_time, r.dequeue_time);
       if (r.trace != nullptr) {
-        r.trace->set(obs::stage::decide,
-                     ms_between(sb.infer_end, clock::now()));
+        r.trace->set(obs::stage::queue_wait, resp.queue_ms);
       }
-      if (r.force_edge || it.score >= delta) {
-        response resp;
-        resp.id = r.id;
-        resp.predicted_class = it.prediction;
-        resp.taken = r.force_edge ? route::edge_degraded : route::edge;
-        resp.shard = shard_id_;
-        resp.score = it.score;
-        resp.delta = delta;
-        resp.queue_ms = queue_ms;
-        if (!r.force_edge) ++skipped;
-        count_egress();
-        complete_(std::move(r), std::move(resp));
-      } else {
-        appeal_item appeal;
-        appeal.req = std::move(r);
-        appeal.score = it.score;
-        appeal.delta = delta;
-        appeal.queue_ms = queue_ms;
-        if (downstream_.push(std::move(appeal))) {
-          count_out();
-        } else {
-          // The appeal queue closed under us — a lifecycle bug upstream
-          // of this node, but the promise must still resolve: answer
-          // honestly that the request ran out of road. (A refused push
-          // leaves the item valid in our hands.)
-          response resp;
-          resp.id = appeal.req.id;
-          resp.status = request_status::expired;
-          resp.shard = shard_id_;
-          resp.queue_ms = queue_ms;
-          count_egress();
-          complete_(std::move(appeal.req), std::move(resp));
-        }
-      }
+      appeal_decide_.count_egress();
+      complete_(std::move(r), std::move(resp));
     }
-    if (any_live) {
-      controller_.observe(any_forced ? decided_scores : all_scores, skipped);
-    }
+    if (!live.empty()) decide(live, inference, infer_end);
   }
 }
 
-// ----------------------------------------------------------- cloud appeal
-
-cloud_appeal_node::cloud_appeal_node(obs::metrics_registry& registry,
-                                     const std::string& deployment,
-                                     cloud_channel& channel,
-                                     threshold_controller& controller,
-                                     std::size_t shard_id,
-                                     std::size_t queue_depth,
-                                     complete_fn complete)
-    : pipeline_node("cloud_appeal", registry, deployment),
-      channel_(channel),
-      controller_(controller),
-      shard_id_(shard_id),
-      input_(queue_depth, depth_gauge(registry, deployment, "cloud_appeal")),
-      complete_(std::move(complete)) {}
-
-void cloud_appeal_node::start() {
-  thread_ = std::thread([this] { worker(); });
-}
-
-void cloud_appeal_node::join() {
-  if (thread_.joinable()) thread_.join();
-}
-
-void cloud_appeal_node::worker() {
-  for (;;) {
-    appeal_item it;
-    if (input_.pop(it) == node_queue<appeal_item>::pop_result::closed) return;
-    count_in();
-    const double score = it.score;
-    const double delta = it.delta;
-    const double queue_ms = it.queue_ms;
+void edge_workers::decide(std::vector<request>& live,
+                          const edge_inference& inference,
+                          clock::time_point infer_end) {
+  // One δ for the whole batch: the decision the paper's predictor head
+  // makes per input, applied at batch granularity. Degraded-admission
+  // requests bypass the decision entirely (they may never appeal) and
+  // are excluded from the controller's observation — both the skip
+  // count and the score denominator — so observed_sr stays the rate
+  // over δ-decided traffic.
+  const double delta = controller_.delta();
+  std::vector<double> decided_scores;
+  decided_scores.reserve(live.size());
+  std::size_t skipped = 0;
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    request& r = live[i];
+    const double score = inference.scores[i];
+    const double queue_ms = ms_between(r.enqueue_time, r.dequeue_time);
+    if (r.trace != nullptr) {
+      r.trace->set(obs::stage::decide, ms_between(infer_end, clock::now()));
+    }
+    if (!r.force_edge) decided_scores.push_back(score);
+    if (r.force_edge || score >= delta) {
+      response resp;
+      resp.id = r.id;
+      resp.predicted_class = inference.predictions[i];
+      resp.taken = r.force_edge ? route::edge_degraded : route::edge;
+      resp.shard = shard_id_;
+      resp.score = score;
+      resp.delta = delta;
+      resp.queue_ms = queue_ms;
+      if (!r.force_edge) ++skipped;
+      appeal_decide_.count_egress();
+      complete_(std::move(r), std::move(resp));
+      continue;
+    }
+    appeal_decide_.count_out();
+    cloud_appeal_.count_in();
     channel_.appeal(
-        std::move(it.req),
+        std::move(r),
         [this, score, delta, queue_ms](request&& done,
                                        const appeal_outcome& outcome) {
           response resp;
@@ -386,10 +240,11 @@ void cloud_appeal_node::worker() {
           } else {
             resp.predicted_class = outcome.prediction;
           }
-          count_egress();
+          cloud_appeal_.count_egress();
           complete_(std::move(done), std::move(resp));
         });
   }
+  controller_.observe(decided_scores, skipped);
 }
 
 }  // namespace appeal::serve::pipeline

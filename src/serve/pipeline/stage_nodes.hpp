@@ -1,33 +1,36 @@
-// The five concrete stages the serving engine is assembled from.
+// The two pieces of code an engine shard runs: the front door and the
+// edge workers. Between them they stamp all five pipeline nodes'
+// ledgers (node_ledger.hpp).
 //
-//   ingress_node       — passive front door: admission verdict at the
-//                        request_queue boundary (block / shed / degrade);
-//                        shed requests egress here.
-//   batch_former_node  — one thread running the dynamic batcher over the
-//                        request_queue, pushing formed batches downstream.
-//   edge_infer_node    — the worker pool: one thread per edge backend,
-//                        each popping whole batches, filtering expired
-//                        members (no inference for them), running the
-//                        two-head little-network forward, and forwarding
-//                        a scored_batch.
-//   appeal_decide_node — the AppealNet decision point: δ + deadline
-//                        check. Edge-kept and expired requests egress
-//                        here; low-confidence ones become appeal items.
-//   cloud_appeal_node  — sink: hands appeals to the cloud_channel; the
-//                        channel's completion callback is this node's
-//                        egress.
+//   ingress_node  — passive front door, run on the submitting thread:
+//                   admission verdict at the request_queue boundary
+//                   (block / shed / degrade); shed requests egress here.
+//   edge_workers  — the worker pool: one thread per edge backend, each
+//                   running the whole edge path for the batches it forms.
+//                   A worker stamps, in order:
+//     batch_former  — batcher::next_batch pulled the request off the
+//                     request_queue (work-conserving; see batcher.hpp);
+//     edge_infer    — expired members are set aside uninferred, the
+//                     rest run the two-head little-network forward;
+//     appeal_decide — deadline check, then score >= δ with one δ per
+//                     batch. Edge-kept, degraded and expired requests
+//                     egress here, and the batch's scores feed the
+//                     threshold_controller;
+//     cloud_appeal  — the appeal is handed to the cloud_channel, whose
+//                     completion callback (on a transport receive
+//                     thread or the simulator thread) is this node's
+//                     egress.
 //
-// The work items between stages are typed (batch → scored_batch →
-// appeal_item), so a future stage — the ROADMAP's split-computing appeal
-// (forwarding intermediate activations instead of inputs) or a
-// peer-appeal tier between edge and cloud — slots in by defining its
-// item type and queue without touching the neighbours' internals.
+// Nothing sits between the stages: no thread and no queue. The only
+// place work waits is the bounded request_queue, so a busy pool leaves
+// it full and admission sheds, degrades or blocks at the front door.
+// cloud_channel::appeal never blocks (it takes a lock, pushes and
+// notifies), so the channel's coalescing thread is the next hop.
 //
-// Trace-stage attribution is preserved across the queue hops: batch_form
-// absorbs the formed batch's wait for an edge worker, decide absorbs the
-// scored batch's wait for the decision thread, and the engine's final
-// `complete` residual absorbs everything else — so trace_report's
-// stage-sum reconciliation stays within the CI gate by construction.
+// Trace stages: queue_wait is enqueue → dequeue, batch_form dequeue →
+// forward start, edge_infer the forward, decide forward end → decision;
+// the engine's final `complete` residual absorbs everything else, so
+// trace_report's stage-sum reconciliation holds by construction.
 #pragma once
 
 #include <chrono>
@@ -40,8 +43,7 @@
 #include "serve/backends.hpp"
 #include "serve/batcher.hpp"
 #include "serve/cloud_channel.hpp"
-#include "serve/pipeline/node_queue.hpp"
-#include "serve/pipeline/pipeline_node.hpp"
+#include "serve/pipeline/node_ledger.hpp"
 #include "serve/request.hpp"
 #include "serve/request_queue.hpp"
 #include "serve/threshold_controller.hpp"
@@ -49,42 +51,12 @@
 namespace appeal::serve::pipeline {
 
 /// Fulfills one request (the engine's complete(): trace finalization,
-/// stats record, promise). Supplied by the engine to every node that has
-/// an egress point.
+/// stats record, promise). Supplied by the engine to both stages.
 using complete_fn = std::function<void(request&&, response&&)>;
 
-/// One edge-scored request leaving the edge_infer stage. `expired`
-/// members skipped inference (prediction/score are meaningless) and are
-/// completed by the decide stage with request_status::expired.
-struct scored_item {
-  request req;
-  std::size_t prediction = 0;
-  double score = 0.0;
-  bool expired = false;
-};
-
-/// A whole batch after the edge forward, in arrival order. `infer_end`
-/// carries the edge stage boundary so the decide stage can stamp the
-/// `decide` trace stage from the correct origin.
-struct scored_batch {
-  std::vector<scored_item> items;
-  std::chrono::steady_clock::time_point infer_end;
-};
-
-/// One low-confidence request bound for the cloud, with the decision
-/// context its eventual response must carry.
-struct appeal_item {
-  request req;
-  double score = 0.0;
-  double delta = 0.0;
-  double queue_ms = 0.0;
-};
-
-/// Stage 1 — admission at the front door. Passive: no thread of its own,
-/// submit() runs on the caller's (engine::submit) thread. Its "output
-/// queue" is the engine's request_queue; closing the input closes that
-/// queue, which ends the batch former.
-class ingress_node final : public pipeline_node {
+/// The front door. No thread of its own: submit() runs on the caller's
+/// (engine::submit) thread. Admitted requests land in the request_queue.
+class ingress_node {
  public:
   ingress_node(obs::metrics_registry& registry, const std::string& deployment,
                admission_controller& admission, request_queue& queue,
@@ -92,130 +64,64 @@ class ingress_node final : public pipeline_node {
 
   /// Admits, degrades, sheds (completing the request here), or reports
   /// closed (request untouched, nothing counted — it never entered the
-  /// graph).
+  /// pipeline).
   admission_verdict submit(request&& r);
 
-  void start() override {}
-  void close_input() override { queue_.close(); }
-  void join() override {}
+  node_stats stats() const { return ledger_.stats(); }
 
  private:
+  node_ledger ledger_;
   admission_controller& admission_;
   request_queue& queue_;
   std::size_t shard_id_;
   complete_fn complete_;
 };
 
-/// Stage 2 — dynamic batch formation. One thread pulls from the
-/// request_queue through a batcher and pushes formed batches downstream;
-/// it exits when the request_queue is closed and drained. Backpressure:
-/// a full downstream queue blocks this thread, the request_queue fills,
-/// and admission starts shedding/degrading.
-class batch_former_node final : public pipeline_node {
+/// The edge worker pool. One thread per backend (stateful network
+/// backends stay single-threaded; each thread's nn workspace arena stays
+/// private), each pulling, inferring, deciding and appealing inline.
+class edge_workers {
  public:
-  batch_former_node(obs::metrics_registry& registry,
-                    const std::string& deployment, request_queue& queue,
-                    const batch_policy& policy, node_queue<batch>& downstream);
+  edge_workers(obs::metrics_registry& registry, const std::string& deployment,
+               request_queue& queue, const batch_policy& policy,
+               std::vector<edge_backend*> backends, bool simulate_edge_compute,
+               double edge_ms, double time_scale,
+               threshold_controller& controller, cloud_channel& channel,
+               std::size_t shard_id, complete_fn complete);
 
-  void start() override;
-  void close_input() override {}  // input is the request_queue; ingress owns it
-  void join() override;
+  void start();
+  /// Joins the workers; they exit once the request_queue is closed and
+  /// drained. Idempotent.
+  void join();
+
+  /// The ledgers of batch_former, edge_infer, appeal_decide and
+  /// cloud_appeal, in that order.
+  std::vector<node_stats> stats() const;
 
  private:
+  using clock = std::chrono::steady_clock;
+
+  void run(edge_backend& backend);
+  /// The δ decision over one batch's live members, in arrival order.
+  void decide(std::vector<request>& live, const edge_inference& inference,
+              clock::time_point infer_end);
+
+  node_ledger batch_former_;
+  node_ledger edge_infer_;
+  node_ledger appeal_decide_;
+  node_ledger cloud_appeal_;
   request_queue& queue_;
   batch_policy policy_;
-  node_queue<batch>& downstream_;
-  std::thread thread_;
-};
-
-/// Stage 3 — the edge worker pool. One thread per backend (stateful
-/// network backends stay single-threaded; each thread's nn workspace
-/// arena stays private). Expired members are marked, not inferred.
-class edge_infer_node final : public pipeline_node {
- public:
-  edge_infer_node(obs::metrics_registry& registry,
-                  const std::string& deployment,
-                  std::vector<edge_backend*> backends,
-                  bool simulate_edge_compute, double edge_ms, double time_scale,
-                  std::size_t queue_depth,
-                  node_queue<scored_batch>& downstream);
-
-  node_queue<batch>& input() { return input_; }
-
-  void start() override;
-  void close_input() override { input_.close(); }
-  void join() override;
-
- private:
-  void worker(edge_backend& backend);
-
+  worker_roster roster_;
   std::vector<edge_backend*> backends_;
   bool simulate_edge_compute_;
   double edge_ms_;
   double time_scale_;
-  node_queue<batch> input_;
-  node_queue<scored_batch>& downstream_;
-  std::vector<std::thread> threads_;
-};
-
-/// Stage 4 — the AppealNet decision: one δ read per scored batch,
-/// deadline check first. Edge-kept (score >= δ, or degraded admission)
-/// and expired requests complete here; the rest become appeal items.
-/// Feeds the threshold controller exactly as the monolithic engine did:
-/// degraded (force_edge) requests are excluded from both the skip count
-/// and the score denominator, expired members from everything.
-class appeal_decide_node final : public pipeline_node {
- public:
-  appeal_decide_node(obs::metrics_registry& registry,
-                     const std::string& deployment,
-                     threshold_controller& controller, std::size_t shard_id,
-                     std::size_t queue_depth,
-                     node_queue<appeal_item>& downstream, complete_fn complete);
-
-  node_queue<scored_batch>& input() { return input_; }
-
-  void start() override;
-  void close_input() override { input_.close(); }
-  void join() override;
-
- private:
-  void worker();
-
   threshold_controller& controller_;
-  std::size_t shard_id_;
-  node_queue<scored_batch> input_;
-  node_queue<appeal_item>& downstream_;
-  complete_fn complete_;
-  std::thread thread_;
-};
-
-/// Stage 5 — the cloud sink. One thread hands appeal items to the
-/// cloud_channel (which coalesces, frames, and retries them); the
-/// channel's completion callback — running on a transport receive thread
-/// or the simulator thread — is this node's egress. Its `out` stays 0:
-/// nothing leaves this node except fulfilled promises.
-class cloud_appeal_node final : public pipeline_node {
- public:
-  cloud_appeal_node(obs::metrics_registry& registry,
-                    const std::string& deployment, cloud_channel& channel,
-                    threshold_controller& controller, std::size_t shard_id,
-                    std::size_t queue_depth, complete_fn complete);
-
-  node_queue<appeal_item>& input() { return input_; }
-
-  void start() override;
-  void close_input() override { input_.close(); }
-  void join() override;
-
- private:
-  void worker();
-
   cloud_channel& channel_;
-  threshold_controller& controller_;
   std::size_t shard_id_;
-  node_queue<appeal_item> input_;
   complete_fn complete_;
-  std::thread thread_;
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace appeal::serve::pipeline

@@ -4,7 +4,8 @@
 
 namespace appeal::serve {
 
-request_queue::request_queue(std::size_t capacity) : capacity_(capacity) {
+request_queue::request_queue(std::size_t capacity, obs::gauge* depth)
+    : capacity_(capacity), depth_(depth) {
   APPEAL_CHECK(capacity > 0, "request_queue capacity must be positive");
 }
 
@@ -15,7 +16,7 @@ bool request_queue::push(request&& r, std::size_t limit) {
                  [&] { return closed_ || size_locked() < limit; });
   if (closed_) return false;
   lane(r.priority).push_back(std::move(r));
-  approx_size_.fetch_add(1, std::memory_order_relaxed);
+  grew();
   lock.unlock();
   not_empty_.notify_one();
   return true;
@@ -28,7 +29,7 @@ request_queue::push_result request_queue::try_push(request&& r,
   if (closed_) return push_result::closed;
   if (size_locked() >= limit) return push_result::full;
   lane(r.priority).push_back(std::move(r));
-  approx_size_.fetch_add(1, std::memory_order_relaxed);
+  grew();
   lock.unlock();
   not_empty_.notify_one();
   return push_result::ok;
@@ -44,7 +45,7 @@ bool request_queue::pop_locked(request& out) {
   } else {
     return false;
   }
-  approx_size_.fetch_sub(1, std::memory_order_relaxed);
+  shrank();
   return true;
 }
 

@@ -8,6 +8,10 @@
 // instead. Consumers (the batcher, on behalf of edge workers) pop with a
 // deadline so batch formation can time out. close() wakes everyone; pops
 // drain remaining items first.
+//
+// The optional depth gauge adds every push and subtracts every pop, so
+// queues sharing one gauge (a deployment's shards) export their summed
+// occupancy (`appeal_node_queue_depth{node="batch_former"}`).
 #pragma once
 
 #include <atomic>
@@ -17,13 +21,14 @@
 #include <deque>
 #include <mutex>
 
+#include "obs/metrics.hpp"
 #include "serve/request.hpp"
 
 namespace appeal::serve {
 
 class request_queue {
  public:
-  explicit request_queue(std::size_t capacity);
+  explicit request_queue(std::size_t capacity, obs::gauge* depth = nullptr);
 
   /// Outcome of a deadline pop.
   enum class pop_result { item, timed_out, closed };
@@ -73,8 +78,17 @@ class request_queue {
     return p == priority_class::interactive ? interactive_ : batch_;
   }
   bool pop_locked(request& out);
+  void grew() {
+    approx_size_.fetch_add(1, std::memory_order_relaxed);
+    if (depth_ != nullptr) depth_->add(1.0);
+  }
+  void shrank() {
+    approx_size_.fetch_sub(1, std::memory_order_relaxed);
+    if (depth_ != nullptr) depth_->add(-1.0);
+  }
 
   const std::size_t capacity_;
+  obs::gauge* depth_;
   mutable std::mutex mutex_;
   std::condition_variable not_full_;
   std::condition_variable not_empty_;

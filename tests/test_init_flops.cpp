@@ -136,7 +136,9 @@ TEST(logging, level_gate) {
 TEST(timer, measures_forward_progress) {
   util::timer t;
   volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += std::sqrt(static_cast<double>(i));
+  for (int i = 0; i < 100000; ++i) {
+    sink = sink + std::sqrt(static_cast<double>(i));
+  }
   EXPECT_GT(t.seconds(), 0.0);
   EXPECT_GE(t.milliseconds(), t.seconds() * 1000.0 * 0.99);
   t.reset();

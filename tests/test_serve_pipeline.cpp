@@ -1,162 +1,34 @@
-// Pipeline-node framework tests: node_queue semantics, topological drain
-// ordering, upstream backpressure propagation, per-node conservation
-// ledgers against engine-level stats, and lossless shutdown with items
-// still in flight.
+// Engine pipeline tests: per-node conservation ledgers against
+// engine-level stats, backpressure from a wedged edge to admission,
+// work-conserving batching (no wait beside an idle worker, growth under
+// saturation, deadline-capped waits), and lossless shutdown with
+// requests still queued.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "serve/engine.hpp"
-#include "serve/pipeline/node_queue.hpp"
-#include "serve/pipeline/pipeline_node.hpp"
 #include "serve_fixtures.hpp"
 
 namespace {
 
 using namespace appeal;
 using namespace appeal::fixtures;
-using serve::pipeline::node_queue;
-
-// ------------------------------------------------------------ node_queue
-
-TEST(node_queue, fifo_and_capacity) {
-  node_queue<int> q(2);
-  EXPECT_EQ(q.capacity(), 2U);
-  EXPECT_EQ(q.try_push(1), node_queue<int>::push_result::ok);
-  EXPECT_EQ(q.try_push(2), node_queue<int>::push_result::ok);
-  EXPECT_EQ(q.try_push(3), node_queue<int>::push_result::full);
-  int out = 0;
-  ASSERT_EQ(q.pop(out), node_queue<int>::pop_result::item);
-  EXPECT_EQ(out, 1);
-  ASSERT_EQ(q.pop(out), node_queue<int>::pop_result::item);
-  EXPECT_EQ(out, 2);
-}
-
-TEST(node_queue, close_drains_before_reporting_closed) {
-  node_queue<int> q(4);
-  ASSERT_TRUE(q.push(7));
-  ASSERT_TRUE(q.push(8));
-  q.close();
-  EXPECT_FALSE(q.push(9));
-  EXPECT_EQ(q.try_push(9), node_queue<int>::push_result::closed);
-  int out = 0;
-  ASSERT_EQ(q.pop(out), node_queue<int>::pop_result::item);
-  EXPECT_EQ(out, 7);
-  ASSERT_EQ(q.pop(out), node_queue<int>::pop_result::item);
-  EXPECT_EQ(out, 8);
-  EXPECT_EQ(q.pop(out), node_queue<int>::pop_result::closed);
-}
-
-TEST(node_queue, full_push_blocks_until_pop) {
-  node_queue<int> q(1);
-  ASSERT_TRUE(q.push(1));
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    ASSERT_TRUE(q.push(2));  // blocks: queue is full
-    pushed.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(pushed.load()) << "push must block while the queue is full";
-  int out = 0;
-  ASSERT_EQ(q.pop(out), node_queue<int>::pop_result::item);
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-  ASSERT_EQ(q.pop(out), node_queue<int>::pop_result::item);
-  EXPECT_EQ(out, 2);
-}
-
-// --------------------------------------------- graph lifecycle (toy nodes)
-
-/// Minimal worker node moving ints from its input queue to an optional
-/// downstream queue, recording when its input was closed.
-class relay_node final : public serve::pipeline::pipeline_node {
- public:
-  relay_node(const std::string& name, std::size_t depth,
-             node_queue<int>* downstream, std::vector<std::string>& close_log,
-             std::mutex& log_mutex)
-      : pipeline_node(name, obs::default_registry(), ""),
-        input_(depth),
-        downstream_(downstream),
-        close_log_(close_log),
-        log_mutex_(log_mutex) {}
-
-  node_queue<int>& input() { return input_; }
-
-  void start() override {
-    thread_ = std::thread([this] {
-      int item = 0;
-      while (input_.pop(item) == node_queue<int>::pop_result::item) {
-        count_in();
-        if (downstream_ != nullptr) {
-          if (!downstream_->push(std::move(item))) return;
-          count_out();
-        } else {
-          count_egress();
-        }
-      }
-    });
-  }
-  void close_input() override {
-    {
-      std::lock_guard<std::mutex> lock(log_mutex_);
-      close_log_.push_back(name());
-    }
-    input_.close();
-  }
-  void join() override {
-    if (thread_.joinable()) thread_.join();
-  }
-
- private:
-  node_queue<int> input_;
-  node_queue<int>* downstream_;
-  std::vector<std::string>& close_log_;
-  std::mutex& log_mutex_;
-  std::thread thread_;
-};
-
-TEST(pipeline_graph, drains_in_topological_order_and_loses_nothing) {
-  std::vector<std::string> close_log;
-  std::mutex log_mutex;
-  relay_node sink("sink", 2, nullptr, close_log, log_mutex);
-  relay_node mid("mid", 2, &sink.input(), close_log, log_mutex);
-  relay_node head("head", 2, &mid.input(), close_log, log_mutex);
-
-  serve::pipeline::pipeline_graph graph;
-  graph.add(head);
-  graph.add(mid);
-  graph.add(sink);
-  graph.start_all();
-
-  const int n = 100;
-  for (int i = 0; i < n; ++i) ASSERT_TRUE(head.input().push(int(i)));
-  graph.drain_and_stop();
-
-  EXPECT_EQ(close_log, (std::vector<std::string>{"head", "mid", "sink"}));
-  // Nothing stranded: every node balanced, the head's intake reached the
-  // sink's egress.
-  for (const auto& s : graph.stats()) {
-    EXPECT_EQ(s.in, s.out + s.egress) << "node " << s.name;
-  }
-  EXPECT_EQ(head.stats().in, static_cast<std::uint64_t>(n));
-  EXPECT_EQ(sink.stats().egress, static_cast<std::uint64_t>(n));
-  // Idempotent.
-  graph.drain_and_stop();
-  EXPECT_EQ(close_log.size(), 3U);
-}
-
 // ----------------------------------------------------- engine integration
 
 /// Asserts the full conservation chain over an engine's node ledgers.
-/// Call after shutdown(): a producer bumps its out-ledger only after the
-/// hand-off push returns, so the books are guaranteed balanced once the
-/// graph's threads are joined, not merely once every promise resolved.
+/// Call after shutdown(): a worker stamps a node's ledger around the
+/// completion it makes there, so the books are guaranteed balanced once
+/// the workers are joined, not merely once every promise resolved.
 void expect_conserved(const serve::engine& eng) {
   const std::vector<serve::pipeline::node_stats> nodes = eng.node_stats();
   ASSERT_EQ(nodes.size(), 5U);
@@ -211,6 +83,9 @@ TEST(pipeline_engine, node_ledgers_reconcile_with_engine_stats) {
   // Edge-kept + degraded + expired all egress at the decide node; cloud
   // completions at the sink.
   const auto nodes = eng.node_stats();
+  EXPECT_EQ(nodes[0].name, "ingress");
+  EXPECT_EQ(nodes[1].name, "batch_former");
+  EXPECT_EQ(nodes[2].name, "edge_infer");
   EXPECT_EQ(nodes[3].name, "appeal_decide");
   EXPECT_EQ(nodes[3].egress,
             s.edge_kept + s.edge_degraded + s.expired);
@@ -219,19 +94,24 @@ TEST(pipeline_engine, node_ledgers_reconcile_with_engine_stats) {
   EXPECT_EQ(nodes[4].out, 0U) << "the sink forwards nothing";
 }
 
-/// Edge backend whose infer() blocks until released — wedges the edge
-/// stage so upstream queues fill and admission must react.
+/// Edge backend whose first `wedged_calls` infer() calls block until
+/// released — wedges edge workers so the request queue fills (or so a
+/// worker's peers are provably mid-batch). Records every batch size.
 class gated_edge_backend : public serve::edge_backend {
  public:
-  gated_edge_backend(std::vector<std::size_t> predictions,
-                     std::vector<double> scores)
-      : replay_(std::move(predictions), std::move(scores)) {}
+  gated_edge_backend(
+      std::vector<std::size_t> predictions, std::vector<double> scores,
+      std::size_t wedged_calls = std::numeric_limits<std::size_t>::max())
+      : replay_(std::move(predictions), std::move(scores)),
+        wedged_calls_(wedged_calls) {}
 
   serve::edge_inference infer(
       const std::vector<serve::request>& batch) override {
     std::unique_lock<std::mutex> lock(mutex_);
-    entered_.fetch_add(1, std::memory_order_relaxed);
-    cv_.wait(lock, [&] { return open_; });
+    sizes_.push_back(batch.size());
+    if (sizes_.size() <= wedged_calls_) {
+      cv_.wait(lock, [&] { return open_; });
+    }
     lock.unlock();
     return replay_.infer(batch);
   }
@@ -244,15 +124,31 @@ class gated_edge_backend : public serve::edge_backend {
     cv_.notify_all();
   }
   std::size_t entered() const {
-    return entered_.load(std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mutex_);
+    return sizes_.size();
+  }
+  std::vector<std::size_t> batch_sizes() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return sizes_;
+  }
+  /// Polls until `calls` infer() calls have started (false after 10 s).
+  bool wait_entered(std::size_t calls) const {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (entered() < calls) {
+      if (std::chrono::steady_clock::now() > give_up) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
   }
 
  private:
   serve::replay_edge_backend replay_;
-  std::mutex mutex_;
+  const std::size_t wedged_calls_;
+  mutable std::mutex mutex_;
   std::condition_variable cv_;
   bool open_ = false;
-  std::atomic<std::size_t> entered_{0};
+  std::vector<std::size_t> sizes_;
 };
 
 TEST(pipeline_engine, backpressure_reaches_admission_when_a_stage_wedges) {
@@ -264,26 +160,30 @@ TEST(pipeline_engine, backpressure_reaches_admission_when_a_stage_wedges) {
   serve::engine_config cfg = fast_config();
   cfg.threshold.adapt = serve::threshold_config::mode::fixed;
   cfg.threshold.initial_delta = 0.55;
+  cfg.stats.deployment = "wedged-edge";
   cfg.num_workers = 1;
-  // Tiny everything: with the edge wedged, one batch in flight, one in
-  // the hand-off queue, and a 16-deep request queue are all the system
-  // can hold — the rest must shed at the front door.
+  // Tiny everything: with the edge backend wedged, one batch in flight
+  // and a 16-deep request queue are all the system can hold — nothing
+  // between the stages buffers, so the rest must shed at the front door.
   cfg.queue_capacity = 16;
   cfg.batching.max_batch_size = 4;
-  cfg.pipeline.batch_queue_depth = 1;
-  cfg.pipeline.decide_queue_depth = 1;
   cfg.admission.policy = serve::admission_policy::shed;
   serve::engine eng(cfg, serve::engine_resources::standalone(edge, cloud));
+  obs::counter& shed_verdicts = obs::default_registry().get_counter(
+      "appeal_admission_total", {{"deployment", "wedged-edge"},
+                                 {"policy", "shed"},
+                                 {"verdict", "shed"}});
+  const std::uint64_t shed_before = shed_verdicts.value();
 
   std::vector<std::future<serve::response>> futures;
   futures.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     futures.push_back(eng.submit(tensor(), i, p.labels[i]));
   }
-  // The wedge held: at most one batch entered the edge stage, and the
-  // bounded queues forced admission to shed instead of buffering.
+  // The wedge held: at most one batch entered the edge backend, and the
+  // bounded queue forced admission to shed instead of buffering.
   EXPECT_LE(edge.entered(), 1U);
-  EXPECT_GT(eng.admission().shed(), 0U)
+  EXPECT_GT(shed_verdicts.value(), shed_before)
       << "backpressure never reached the admission controller";
 
   edge.open();
@@ -302,10 +202,108 @@ TEST(pipeline_engine, backpressure_reaches_admission_when_a_stage_wedges) {
   EXPECT_EQ(ok + shed, n);
   EXPECT_GT(ok, 0U);
   EXPECT_GT(shed, 0U);
+  EXPECT_EQ(shed_verdicts.value() - shed_before, shed);
   expect_conserved(eng);
   const auto nodes = eng.node_stats();
   EXPECT_EQ(nodes[0].name, "ingress");
   EXPECT_EQ(nodes[0].egress, static_cast<std::uint64_t>(shed));
+}
+
+TEST(pipeline_engine, lone_request_skips_max_wait_beside_an_idle_worker) {
+  const population p = make_population(16, 79);
+  serve::replay_edge_backend edge(p.little, p.scores);
+  serve::replay_cloud_backend cloud(p.big);
+
+  serve::engine_config cfg = fast_config();
+  cfg.threshold.adapt = serve::threshold_config::mode::fixed;
+  cfg.threshold.initial_delta = 0.0;  // every request stays on the edge
+  cfg.num_workers = 2;
+  cfg.batching.max_wait = std::chrono::milliseconds(20);
+  serve::engine eng(cfg, serve::engine_resources::standalone(edge, cloud));
+
+  std::vector<double> latency_ms;
+  for (std::size_t i = 0; i < 5; ++i) {
+    // Both workers idle before each request arrives.
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    const serve::response r = eng.submit(tensor(), i, p.labels[i]).get();
+    ASSERT_EQ(r.status, serve::request_status::ok);
+    latency_ms.push_back(r.latency_ms);
+  }
+  std::sort(latency_ms.begin(), latency_ms.end());
+  EXPECT_LT(latency_ms[2], 10.0)
+      << "a lone request waited out max_wait while a worker sat idle";
+}
+
+TEST(pipeline_engine, batches_grow_when_arrivals_outpace_a_saturated_pool) {
+  const std::size_t n = 64;
+  const population p = make_population(n, 83);
+  gated_edge_backend edge(p.little, p.scores);
+  serve::replay_cloud_backend cloud(p.big);
+
+  serve::engine_config cfg = fast_config();
+  cfg.threshold.adapt = serve::threshold_config::mode::fixed;
+  cfg.threshold.initial_delta = 0.55;
+  cfg.num_workers = 2;
+  cfg.batching.max_batch_size = 16;
+  serve::engine eng(cfg, serve::engine_resources::standalone(edge, cloud));
+
+  // Wedge both workers, one request each; everything after queues.
+  std::vector<std::future<serve::response>> futures;
+  futures.push_back(eng.submit(tensor(), 0, p.labels[0]));
+  ASSERT_TRUE(edge.wait_entered(1));
+  futures.push_back(eng.submit(tensor(), 1, p.labels[1]));
+  ASSERT_TRUE(edge.wait_entered(2));
+  for (std::size_t i = 2; i < n; ++i) {
+    futures.push_back(eng.submit(tensor(), i, p.labels[i]));
+  }
+  edge.open();
+  for (auto& f : futures) {
+    EXPECT_EQ(f.get().status, serve::request_status::ok);
+  }
+  eng.shutdown();
+
+  const std::vector<std::size_t> sizes = edge.batch_sizes();
+  std::size_t total = 0;
+  for (std::size_t s : sizes) total += s;
+  EXPECT_EQ(total, n);
+  const std::size_t largest = *std::max_element(sizes.begin(), sizes.end());
+  EXPECT_GT(largest, 1U) << "a backlog must be served in batches";
+  EXPECT_LE(largest, cfg.batching.max_batch_size);
+  expect_conserved(eng);
+}
+
+TEST(pipeline_engine, deadline_caps_the_wait_while_every_peer_is_busy) {
+  const population p = make_population(8, 89);
+  gated_edge_backend edge(p.little, p.scores, /*wedged_calls=*/1);
+  serve::replay_cloud_backend cloud(p.big);
+
+  serve::engine_config cfg = fast_config();
+  cfg.threshold.adapt = serve::threshold_config::mode::fixed;
+  cfg.threshold.initial_delta = 0.0;
+  cfg.num_workers = 2;
+  cfg.batching.max_wait = std::chrono::seconds(10);  // "forever"
+  cfg.batching.deadline_margin = std::chrono::milliseconds(50);
+  serve::engine eng(cfg, serve::engine_resources::standalone(edge, cloud));
+
+  std::future<serve::response> wedged = eng.submit(tensor(), 0, p.labels[0]);
+  ASSERT_TRUE(edge.wait_entered(1));
+  // The other worker takes a lone request while its only peer is
+  // mid-batch: it may wait for company, but only until the request's
+  // deadline minus the margin, not for max_wait.
+  serve::inference_request req;
+  req.key = 1;
+  req.label = p.labels[1];
+  req.deadline = std::chrono::milliseconds(200);
+  const serve::response r = eng.submit(std::move(req)).get();
+  EXPECT_EQ(r.status, serve::request_status::ok);
+  EXPECT_GE(r.latency_ms, 100.0)
+      << "a worker whose peers are all busy should wait for company";
+  EXPECT_LT(r.latency_ms, 1000.0) << "the deadline must cap the wait";
+
+  edge.open();
+  EXPECT_EQ(wedged.get().status, serve::request_status::ok);
+  eng.shutdown();
+  expect_conserved(eng);
 }
 
 TEST(pipeline_engine, shutdown_with_in_flight_items_loses_nothing) {
@@ -324,8 +322,9 @@ TEST(pipeline_engine, shutdown_with_in_flight_items_loses_nothing) {
   for (std::size_t i = 0; i < n; ++i) {
     futures.push_back(eng.submit(tensor(), i, p.labels[i]));
   }
-  // No drain: shut down with the queues still loaded. The topological
-  // close must flush every stage — a broken promise here would throw.
+  // No drain: shut down with the request queue still loaded. The
+  // workers must finish everything queued — a broken promise here would
+  // throw.
   eng.shutdown();
   for (auto& f : futures) {
     const serve::response r = f.get();

@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "serve/request_queue.hpp"
 #include "util/error.hpp"
 
@@ -144,6 +145,23 @@ TEST(serve_queue, close_wakes_blocked_producer) {
   std::this_thread::sleep_for(20ms);
   queue.close();
   producer.join();
+}
+
+TEST(serve_queue, shared_depth_gauge_sums_every_queue) {
+  // A deployment's shards export one occupancy gauge: each queue adds
+  // its pushes and subtracts its pops.
+  obs::gauge depth;
+  serve::request_queue a(4, &depth);
+  serve::request_queue b(4, &depth);
+  ASSERT_TRUE(a.push(make_request(1)));
+  ASSERT_TRUE(a.push(make_request(2)));
+  ASSERT_EQ(b.try_push(make_request(3)), serve::request_queue::push_result::ok);
+  EXPECT_EQ(depth.value(), 3.0);
+  serve::request out;
+  ASSERT_TRUE(a.try_pop(out));
+  ASSERT_EQ(b.pop_until(out, std::chrono::steady_clock::now()),
+            serve::request_queue::pop_result::item);
+  EXPECT_EQ(depth.value(), 1.0);
 }
 
 TEST(serve_queue, concurrent_producers_consumers_deliver_everything) {

@@ -332,13 +332,25 @@ TEST(server, edge_only_admission_degrades_instead_of_appealing) {
   EXPECT_EQ(s.edge_kept, 0U);  // nothing legitimately cleared δ=2
 }
 
+/// One admission verdict counter of `deployment`, read from `registry`.
+std::uint64_t verdicts(obs::metrics_registry& registry,
+                       const char* deployment, const char* policy,
+                       const char* verdict) {
+  return registry
+      .get_counter("appeal_admission_total", {{"deployment", deployment},
+                                              {"policy", policy},
+                                              {"verdict", verdict}})
+      .value();
+}
+
 /// admission_controller unit semantics, isolated from engine threading.
 TEST(admission, batch_headroom_and_degrade_limits) {
+  obs::metrics_registry registry;
   serve::request_queue queue(4);
   serve::admission_config cfg;
   cfg.policy = serve::admission_policy::shed;
   cfg.batch_headroom = 0.5;  // batch lane: 2 of 4 slots
-  serve::admission_controller ctl(cfg);
+  serve::admission_controller ctl(cfg, registry, "front");
 
   auto make = [](std::uint64_t id, serve::priority_class pri) {
     serve::request r;
@@ -360,18 +372,19 @@ TEST(admission, batch_headroom_and_degrade_limits) {
   EXPECT_EQ(ctl.try_admit(queue, r3), serve::admission_verdict::admitted);
   EXPECT_EQ(ctl.try_admit(queue, r4), serve::admission_verdict::admitted);
   EXPECT_EQ(ctl.try_admit(queue, r5), serve::admission_verdict::shed);
-  EXPECT_EQ(ctl.admitted(), 4U);
-  EXPECT_EQ(ctl.shed(), 2U);
+  EXPECT_EQ(verdicts(registry, "front", "shed", "admitted"), 4U);
+  EXPECT_EQ(verdicts(registry, "front", "shed", "shed"), 2U);
 
   // edge_only: the same full queue admits into the overflow band with
   // force_edge set.
   serve::admission_config degrade_cfg;
   degrade_cfg.policy = serve::admission_policy::edge_only;
   degrade_cfg.degrade_headroom = 2.0;
-  serve::admission_controller degrade(degrade_cfg);
+  serve::admission_controller degrade(degrade_cfg, registry, "overflow");
   serve::request r6 = make(6, serve::priority_class::interactive);
   EXPECT_EQ(degrade.try_admit(queue, r6), serve::admission_verdict::degraded);
-  EXPECT_EQ(degrade.degraded(), 1U);
+  EXPECT_EQ(verdicts(registry, "overflow", "edge_only", "degraded"), 1U);
+  EXPECT_EQ(verdicts(registry, "overflow", "edge_only", "admitted"), 0U);
   serve::request out;
   std::size_t forced = 0;
   while (queue.try_pop(out)) {
@@ -396,7 +409,8 @@ TEST(admission, cloud_pressure_tightens_batch_and_degrades_interactive_early) {
   cfg.batch_headroom = 0.5;          // 2 of 4 slots normally
   cfg.pressure_batch_scale = 0.5;    // 1 slot under pressure
   cfg.pressure_degrade_fraction = 0.5;  // degrade at 2 of 4
-  serve::admission_controller ctl(cfg);
+  obs::metrics_registry registry;
+  serve::admission_controller ctl(cfg, registry, "pressured");
   EXPECT_FALSE(ctl.cloud_pressure());
   ctl.set_cloud_pressure(true);
   EXPECT_TRUE(ctl.cloud_pressure());
@@ -426,9 +440,9 @@ TEST(admission, cloud_pressure_tightens_batch_and_degrades_interactive_early) {
   serve::request i2 = make(4, serve::priority_class::interactive);
   EXPECT_EQ(ctl.try_admit(queue, i2), serve::admission_verdict::admitted);
 
-  EXPECT_EQ(ctl.admitted(), 3U);
-  EXPECT_EQ(ctl.degraded(), 1U);
-  EXPECT_EQ(ctl.shed(), 1U);
+  EXPECT_EQ(verdicts(registry, "pressured", "edge_only", "admitted"), 3U);
+  EXPECT_EQ(verdicts(registry, "pressured", "edge_only", "degraded"), 1U);
+  EXPECT_EQ(verdicts(registry, "pressured", "edge_only", "shed"), 1U);
   serve::request out;
   std::size_t forced = 0;
   while (queue.try_pop(out)) {
